@@ -1,6 +1,7 @@
 //! Solver options, results, and residual bookkeeping shared by every
 //! method in this crate.
 
+use abr_sparse::block_plan::PAR_COMPILE_MIN_NNZ;
 use abr_sparse::par::ParContext;
 use abr_sparse::{blas1, CsrMatrix};
 
@@ -80,10 +81,12 @@ impl SolveResult {
 /// Relative residual `||b - Ax||_2 / ||b||_2` (`||r||` itself when
 /// `b = 0`).
 ///
-/// The SpMV runs through [`ParContext::paper_cpu`] — the paper's 4-core
-/// host-side configuration (§3.2) — which parallelises row chunks above
-/// its 256-row threshold and falls back to the sequential kernel below
-/// it. The per-row accumulation order is identical either way, so the
+/// Systems with at least [`PAR_COMPILE_MIN_NNZ`] nonzeros run the SpMV
+/// through [`ParContext::paper_cpu`] — the paper's 4-core host-side
+/// configuration (§3.2), which parallelises row chunks. Smaller ones run
+/// the sequential kernel: there, spawning the chunk threads costs more
+/// than the multiply (a 7,840-nonzero check is microseconds of work).
+/// The per-row accumulation order is identical either way, so the
 /// residual is bit-identical to the sequential computation at every
 /// size. The norms stay sequential: a chunked reduction would change
 /// the summation order and with it the convergence histories.
@@ -101,9 +104,12 @@ pub fn relative_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
 pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
     buf.clear();
     buf.resize(a.n_rows(), 0.0);
-    ParContext::paper_cpu()
-        .spmv(a, x, buf)
-        .expect("dimensions checked by solver entry");
+    if a.nnz() >= PAR_COMPILE_MIN_NNZ {
+        ParContext::paper_cpu().spmv(a, x, buf)
+    } else {
+        a.spmv(x, buf)
+    }
+    .expect("dimensions checked by solver entry");
     for (ri, &bi) in buf.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
@@ -152,15 +158,20 @@ mod tests {
 
     #[test]
     fn parallel_residual_is_bit_identical_to_sequential() {
-        // 400 rows > the 256-row ParContext threshold: the chunked SpMV
-        // actually runs, and must not perturb a single bit
-        let a = abr_sparse::gen::laplacian_2d_5pt(20);
-        let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.013).cos()).collect();
-        let b = a.mul_vec(&vec![1.0; 400]).unwrap();
-        let rr = relative_residual(&a, &b, &x);
-        let r = a.residual(&b, &x).unwrap();
-        let expect = blas1::norm2(&r) / blas1::norm2(&b);
-        assert_eq!(rr.to_bits(), expect.to_bits());
+        // g = 20: 1,920 nonzeros, the sequential SpMV. g = 201: 201,201
+        // nonzeros, at the threshold, so the chunked SpMV actually runs
+        // and must not perturb a single bit.
+        for g in [20, 201] {
+            let a = abr_sparse::gen::laplacian_2d_5pt(g);
+            assert_eq!(a.nnz() >= PAR_COMPILE_MIN_NNZ, g == 201);
+            let n = a.n_rows();
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).cos()).collect();
+            let b = a.mul_vec(&vec![1.0; n]).unwrap();
+            let rr = relative_residual(&a, &b, &x);
+            let r = a.residual(&b, &x).unwrap();
+            let expect = blas1::norm2(&r) / blas1::norm2(&b);
+            assert_eq!(rr.to_bits(), expect.to_bits(), "g = {g}");
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use abr_sync::{Ordering, SyncUsize};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 
 /// Histogram of realised read staleness: for each block update at its own
 /// round `r`, reading a neighbour block that had completed `c` updates
@@ -15,28 +14,51 @@ use std::collections::BTreeMap;
 /// verifies empirically.
 #[derive(Debug, Clone, Default)]
 pub struct StalenessHistogram {
-    counts: BTreeMap<i64, u64>,
+    /// Shift of `counts[0]`.
+    lo: i64,
+    /// Dense counts over the recorded range: `counts[i]` reads had shift
+    /// `lo + i`. Realised shifts span a few rounds around zero, so a
+    /// record is one index and one add; the range grows on either side
+    /// as new extremes arrive, and both ends are always non-zero.
+    counts: Vec<u64>,
 }
 
 impl StalenessHistogram {
     /// Records one read with the given shift.
+    #[inline]
     pub fn record(&mut self, shift: i64) {
-        *self.counts.entry(shift).or_insert(0) += 1;
+        self.add(shift, 1);
+    }
+
+    /// Adds `c` reads of `shift`, widening the range to cover it.
+    fn add(&mut self, shift: i64, c: u64) {
+        if self.counts.is_empty() {
+            self.lo = shift;
+        } else if shift < self.lo {
+            let grow = (self.lo - shift) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.lo = shift;
+        }
+        let i = (shift - self.lo) as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += c;
     }
 
     /// Total recorded reads.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Largest observed (stalest) shift, if any reads were recorded.
     pub fn max_shift(&self) -> Option<i64> {
-        self.counts.keys().next_back().copied()
+        (!self.counts.is_empty()).then(|| self.lo + self.counts.len() as i64 - 1)
     }
 
     /// Smallest observed shift (most negative = freshest).
     pub fn min_shift(&self) -> Option<i64> {
-        self.counts.keys().next().copied()
+        (!self.counts.is_empty()).then_some(self.lo)
     }
 
     /// Mean shift.
@@ -45,7 +67,7 @@ impl StalenessHistogram {
         if total == 0 {
             return 0.0;
         }
-        self.counts.iter().map(|(&s, &c)| s as f64 * c as f64).sum::<f64>() / total as f64
+        self.entries().map(|(s, c)| s as f64 * c as f64).sum::<f64>() / total as f64
     }
 
     /// Fraction of reads fresher than synchronous Jacobi (shift < 0).
@@ -54,22 +76,32 @@ impl StalenessHistogram {
         if total == 0 {
             return 0.0;
         }
-        let fresh: u64 =
-            self.counts.iter().filter(|(&s, _)| s < 0).map(|(_, &c)| c).sum();
+        let fresh: u64 = self.entries().filter(|&(s, _)| s < 0).map(|(_, c)| c).sum();
         fresh as f64 / total as f64
     }
 
-    /// The `(shift, count)` pairs in increasing shift order.
+    /// The `(shift, count)` pairs with a non-zero count, in increasing
+    /// shift order.
     pub fn entries(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
-        self.counts.iter().map(|(&s, &c)| (s, c))
+        let lo = self.lo;
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(move |(i, &c)| (lo + i as i64, c))
     }
 
     /// Folds another histogram into this one. The threaded executors let
     /// each worker record into a private histogram and merge at join, so
     /// the hot path never touches a shared map.
     pub fn merge(&mut self, other: &StalenessHistogram) {
-        for (&s, &c) in &other.counts {
-            *self.counts.entry(s).or_insert(0) += c;
+        if let (Some(lo), Some(hi)) = (other.min_shift(), other.max_shift()) {
+            // Widen once to the union, then add bucket by bucket.
+            self.add(lo, 0);
+            self.add(hi, 0);
+            for (s, c) in other.entries() {
+                self.add(s, c);
+            }
         }
     }
 }
@@ -426,6 +458,58 @@ mod tests {
         assert_eq!(a.total(), 4);
         let e: Vec<_> = a.entries().collect();
         assert_eq!(e, vec![(-1, 1), (0, 1), (3, 2)]);
+    }
+
+    #[test]
+    fn staleness_histogram_records_negative_first() {
+        let mut h = StalenessHistogram::default();
+        h.record(-3);
+        assert_eq!(h.min_shift(), Some(-3));
+        assert_eq!(h.max_shift(), Some(-3));
+        h.record(-3);
+        h.record(1);
+        let e: Vec<_> = h.entries().collect();
+        assert_eq!(e, vec![(-3, 2), (1, 1)], "empty interior buckets are not entries");
+        assert_eq!(h.total(), 3);
+        assert!((h.fraction_fresh() - 2.0 / 3.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn staleness_histogram_grows_on_both_sides() {
+        let mut h = StalenessHistogram::default();
+        h.record(0);
+        h.record(4);
+        h.record(-5);
+        h.record(2);
+        h.record(-5);
+        assert_eq!(h.min_shift(), Some(-5));
+        assert_eq!(h.max_shift(), Some(4));
+        let e: Vec<_> = h.entries().collect();
+        assert_eq!(e, vec![(-5, 2), (0, 1), (2, 1), (4, 1)]);
+        assert!((h.mean_shift() - (-4.0 / 5.0)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn histograms_with_disjoint_ranges_merge() {
+        let mut a = StalenessHistogram::default();
+        a.record(5);
+        a.record(6);
+        let mut b = StalenessHistogram::default();
+        b.record(-2);
+        b.record(-2);
+        a.merge(&b);
+        assert_eq!(a.entries().collect::<Vec<_>>(), vec![(-2, 2), (5, 1), (6, 1)]);
+        // Into an empty histogram, and from an empty one.
+        let mut c = StalenessHistogram::default();
+        c.merge(&a);
+        c.merge(&StalenessHistogram::default());
+        assert_eq!(c.entries().collect::<Vec<_>>(), vec![(-2, 2), (5, 1), (6, 1)]);
+        // A range entirely above the other side's.
+        let mut d = StalenessHistogram::default();
+        d.record(9);
+        d.merge(&b);
+        assert_eq!(d.entries().collect::<Vec<_>>(), vec![(-2, 2), (9, 1)]);
+        assert_eq!((d.min_shift(), d.max_shift()), (Some(-2), Some(9)));
     }
 
     #[test]

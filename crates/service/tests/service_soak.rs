@@ -13,11 +13,13 @@
 
 use abr_core::{AsyncBlockSolver, ExecutorKind, ScheduleKind, SolveOptions};
 use abr_gpu::SimOptions;
+use abr_service::wire::{read_frame, write_frame};
 use abr_service::{
-    ChaosConfig, Client, Daemon, DaemonConfig, MatrixSpec, Mode, Response, RetryPolicy,
-    SolveSpec,
+    ChaosConfig, Client, Daemon, DaemonConfig, MatrixSpec, Mode, Request, Response,
+    RetryPolicy, SolveSpec,
 };
 use abr_sparse::{gen, RowPartition};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -573,4 +575,51 @@ fn chaos_soak_answers_every_nonfaulted_request_correctly() {
     assert_eq!(counters.failed, 0, "chaos must never surface as a request failure");
     let report = daemon.shutdown(Duration::from_secs(10));
     assert_eq!(report.workers_joined, 3, "no pool thread may be lost to chaos");
+}
+
+/// The accept loop joins finished connection threads as it goes: a daemon
+/// answering thousands of one-shot connections holds handles only for
+/// the few still open, and the drain still counts every connection.
+#[test]
+fn finished_connection_threads_are_reaped() {
+    let daemon = Daemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() }).unwrap();
+    let client = Client::new(daemon.addr());
+    let mut most = 0;
+    for i in 0..2_000 {
+        assert!(matches!(client.ping().unwrap(), Response::Pong), "ping {i}");
+        most = most.max(daemon.live_connection_handles());
+    }
+    assert!(most <= 64, "live connection handles peaked at {most}");
+    let report = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!(report.connections_joined, 2_000, "drain accounting stays exact");
+}
+
+/// A megabyte of `[` is a parse error, not a stack overflow: the sender
+/// gets a typed `failed` frame on the same connection, and the daemon
+/// keeps serving.
+#[test]
+fn deeply_nested_frame_fails_typed_and_the_daemon_survives() {
+    let daemon = Daemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() }).unwrap();
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    write_frame(&mut stream, &"[".repeat(1 << 20)).unwrap();
+    let reply = read_frame(&mut stream).unwrap().expect("the daemon must answer");
+    match Response::parse(&reply).unwrap() {
+        Response::Failed { error, .. } => assert!(error.contains("nesting"), "{error}"),
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    write_frame(&mut stream, &Request::Ping.render()).unwrap();
+    let pong = read_frame(&mut stream).unwrap().expect("the connection stays open");
+    assert!(matches!(Response::parse(&pong).unwrap(), Response::Pong));
+
+    let spec = sim_spec(1, 8, 5, 5);
+    let (x_ref, _) = local_sim_solve(&spec);
+    match Client::new(daemon.addr()).solve_once(&spec).unwrap() {
+        Response::Done { x, converged, .. } => {
+            assert!(converged);
+            assert_eq!(bits(&x), bits(&x_ref));
+        }
+        other => panic!("{other:?}"),
+    }
+    let report = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!(report.counters.completed, 1);
 }
