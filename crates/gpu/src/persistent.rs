@@ -2398,6 +2398,31 @@ mod tests {
         }
     }
 
+    /// The stall rescue on its own: with the round detector switched off
+    /// (`detect_after = usize::MAX`), the only way worker 1's death is
+    /// declared and its orphaned shard released is the detector's forced
+    /// poll after the progress signature freezes past the stall timeout.
+    #[test]
+    fn stall_rescue_alone_recovers_an_orphaned_shard() {
+        let plan = FaultPlan::new().kill(1, 5).with_recovery(6);
+        let (_, trace, report) =
+            faulted_consensus(4, (48, 4), 60, &plan, usize::MAX, 100);
+        assert_eq!(report.outcome, RunOutcome::Completed);
+        assert_eq!(trace.updates_per_block, vec![60; 12]);
+        assert!(
+            report.fault.deaths.iter().any(|d| d.worker == 1),
+            "worker 1's death must be declared: {:?}",
+            report.fault.deaths
+        );
+        let r = report
+            .fault
+            .reassignments
+            .iter()
+            .find(|r| r.shard == 1)
+            .expect("shard 1 must be reassigned");
+        assert_ne!(r.new_owner, 1, "a dead worker cannot adopt");
+    }
+
     /// No recovery: the orphaned shard's tickets are never drained, the
     /// survivors finish their own work and the run ends `Stalled`, with
     /// the orphan blocks' commit counts frozen at the outage point.
