@@ -179,15 +179,7 @@ impl AsyncBlockSolver {
         opts: &SolveOptions,
         filter: &dyn UpdateFilter,
     ) -> Result<SolveResult> {
-        assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep(
-            a,
-            rhs,
-            partition,
-            self.local_iters,
-            self.damping,
-            self.local_sweep,
-        )?;
+        let kernel = self.kernel(a, rhs, partition, None)?;
         self.solve_with_kernel(a, rhs, x0, &kernel, opts, filter)
     }
 
@@ -206,17 +198,30 @@ impl AsyncBlockSolver {
         descriptor: &StencilDescriptor,
         opts: &SolveOptions,
     ) -> Result<SolveResult> {
+        let kernel = self.kernel(a, rhs, partition, Some(descriptor))?;
+        self.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)
+    }
+
+    /// Compiles this solver's kernel (its `k`, damping and sweep type)
+    /// for `a` over the partition, with the matrix-free stencil tier when
+    /// a descriptor is given.
+    fn kernel<'a>(
+        &self,
+        a: &'a CsrMatrix,
+        rhs: &'a [f64],
+        partition: &RowPartition,
+        stencil: Option<&StencilDescriptor>,
+    ) -> Result<AsyncJacobiKernel<'a>> {
         assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep_and_stencil(
+        AsyncJacobiKernel::with_sweep_and_stencil(
             a,
             rhs,
             partition,
             self.local_iters,
             self.damping,
             self.local_sweep,
-            Some(descriptor),
-        )?;
-        self.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)
+            stencil,
+        )
     }
 
     /// Solves with an already-compiled kernel. This lets callers that
@@ -405,15 +410,7 @@ impl AsyncBlockSolver {
         opts: &SolveOptions,
         run: LeasedRun<'_>,
     ) -> Result<FaultedSolve> {
-        assert_eq!(partition.n(), a.n_rows(), "partition must cover the system");
-        let kernel = AsyncJacobiKernel::with_sweep(
-            a,
-            rhs,
-            partition,
-            self.local_iters,
-            self.damping,
-            self.local_sweep,
-        )?;
+        let kernel = self.kernel(a, rhs, partition, None)?;
         let session = RunSession {
             faults: run.faults,
             cancel: run.cancel,

@@ -47,6 +47,21 @@ use std::time::{Duration, Instant};
 /// whole timeslice the holder needs to finish).
 const SPIN_LIMIT: u32 = 64;
 
+/// How many rounds of the block schedule a run materialises into the
+/// per-shard ticket lists. Budgets beyond this cycle reuse the
+/// materialised pattern (with correct absolute round indices), so an
+/// unbounded solve does not need unbounded ticket storage. Within the
+/// first `SCHEDULE_CYCLE` rounds the dispatch order is exactly the
+/// schedule's.
+const SCHEDULE_CYCLE: usize = 256;
+
+/// A worker's home shard. Workers map onto shards round-robin, so more
+/// workers than shards team up on each shard.
+#[inline]
+fn home_shard(w: usize, n_shards: usize) -> usize {
+    w % n_shards
+}
+
 /// Acquires a per-block in-flight flag with bounded spinning: up to
 /// [`SPIN_LIMIT`] `spin_loop` hints, then `yield_now` between attempts.
 /// Every update of one block is serialised through this protocol.
@@ -422,13 +437,6 @@ pub struct PersistentOptions {
     /// [`crate::ThreadedOptions`]: available parallelism, capped at 8.
     /// Ignored by a pooled run, whose worker count is its lease size.
     pub n_workers: usize,
-    /// How many rounds of the block schedule to materialise into the
-    /// per-shard ticket lists. Budgets beyond this cycle reuse the
-    /// materialised pattern (with correct absolute round indices), so an
-    /// unbounded solve does not need unbounded ticket storage. Within the
-    /// first `schedule_cycle` rounds the dispatch order is exactly the
-    /// schedule's.
-    pub schedule_cycle: usize,
     /// Base (minimum) pause between the monitor's watermark polls. The
     /// monitor paces itself from the observed watermark rate — sleeping
     /// roughly until the next check period is due, clamped to
@@ -476,7 +484,6 @@ impl Default for PersistentOptions {
         let par = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
         PersistentOptions {
             n_workers: par.min(8),
-            schedule_cycle: 256,
             monitor_pause: Duration::from_micros(50),
             max_round_lag: 1,
             detect_after_rounds: 8,
@@ -620,7 +627,6 @@ impl PersistentWorkspace {
         schedule: &mut dyn BlockSchedule,
         n_shards: usize,
         n_workers: usize,
-        cycle_cap: usize,
         shard_offsets: Option<&[usize]>,
     ) {
         let nb = kernel.n_blocks();
@@ -669,7 +675,7 @@ impl PersistentWorkspace {
             self.home_alive.resize_with(n_shards, || SyncUsize::new(0));
         }
         for (s, c) in self.home_alive.iter_mut().enumerate() {
-            c.set_exclusive((0..n_workers).filter(|w| w % n_shards == s).count());
+            c.set_exclusive((0..n_workers).filter(|&w| home_shard(w, n_shards) == s).count());
         }
         self.block_shard.clear();
         for (s, &len) in self.shard_len.iter().enumerate() {
@@ -678,7 +684,7 @@ impl PersistentWorkspace {
         self.shard_total.clear();
         self.shard_total.extend(self.shard_len.iter().map(|&len| len * rounds));
 
-        self.cycle_rounds = rounds.min(cycle_cap).max(1);
+        self.cycle_rounds = rounds.clamp(1, SCHEDULE_CYCLE);
         if self.shard_tickets.len() != n_shards {
             self.shard_tickets.resize_with(n_shards, Vec::new);
         }
@@ -850,6 +856,13 @@ impl PersistentExecutor {
     ///   worker has finished — the pool's completion edge is the join
     ///   edge that makes all post-run reads exact.
     ///
+    /// The run is assembled from named pieces: `RunState` (the shared
+    /// environment), `run_worker` (the worker body: `fire_fault`,
+    /// `draw_ticket`, `sweep_and_commit`, the heartbeat), `Host` (the
+    /// monitor: `Pacer`, `watermark`, the cancel check, the convergence
+    /// poll, and the `FaultDetector`), and `finish_run` (the post-join
+    /// report).
+    ///
     /// # Panics
     ///
     /// A sweep that panics is caught inside the worker and counted in
@@ -903,10 +916,8 @@ impl PersistentExecutor {
         let RunSession { shards, halo, faults, cancel, pool } = session;
         let nb = kernel.n_blocks();
         assert_eq!(x.len(), kernel.n(), "iterate length must match kernel");
-        let mut trace = UpdateTrace::new(nb);
-        let mut report = PersistentReport::default();
         if nb == 0 || rounds == 0 {
-            return (trace, report);
+            return (UpdateTrace::new(nb), PersistentReport::default());
         }
 
         // One dispatch path for every run. A run without a lease builds a
@@ -938,807 +949,22 @@ impl PersistentExecutor {
                 "halo device count must match the shard count"
             );
         }
-        ws.prepare(
-            kernel,
-            x,
-            rounds,
-            schedule,
-            n_shards,
-            n_workers,
-            self.opts.schedule_cycle,
-            shards.map(|p| p.offsets()),
-        );
-        report.workers_spawned = n_workers;
-
-        // Disjoint borrows of the workspace: workers share the immutable
-        // parts, the monitor alone touches the snapshot buffer.
-        let PersistentWorkspace {
-            x: ref xa,
-            snapshot: ref mut snap,
-            shard_tickets: ref tickets,
-            shard_next: ref next,
-            ref shard_len,
-            ref shard_total,
-            ref shard_off,
-            ref counts,
-            ref in_flight,
-            ref block_shard,
-            ref heartbeats,
-            ref retired,
-            ref shard_state,
-            ref home_alive,
-            ref residuals,
-            cycle_rounds,
-            ..
-        } = *ws;
-        let fuse = self.opts.fuse_residuals;
-
-        let stop = SyncBool::new(false);
-        let active = SyncUsize::new(n_workers);
-        let skipped = SyncUsize::new(0);
-        let stolen = SyncUsize::new(0);
-        let panics = SyncUsize::new(0);
-        let lag = self.opts.max_round_lag;
-        let has_faults = faults.is_some_and(|p| !p.is_empty());
-        let recovery = faults.and_then(|p| p.recovery_rounds);
-        let detect_after = self.opts.detect_after_rounds.max(1);
-        let stall_timeout = self.opts.stall_timeout.max(Duration::from_millis(1));
-        // Adoption log: one lock per recovery handoff, not per update.
-        let reassign_log: Mutex<Vec<Reassignment>> = Mutex::new(Vec::new());
-        // The concurrent count-of-counts watermark (allocated here, at
-        // solve start). Its floor — the minimum per-block *progress*
-        // (commits plus filter-skips) — is what the lag gate below
-        // compares dispatch rounds against: gating on committed progress
-        // rather than dispatched tickets is what makes the reported
-        // `max_skew <= max_round_lag + 1` airtight (an in-flight dispatch
-        // no longer lets other blocks run an extra window ahead), and
-        // counting skips keeps a filter-frozen block from pinning the
-        // floor forever.
-        let skew = SkewTracker::new(nb);
-        let skew = &skew;
-        // Each worker records read staleness into a private histogram and
-        // merges it here at exit (one lock per worker per run).
-        let stale_sink: Mutex<StalenessHistogram> = Mutex::new(StalenessHistogram::default());
-        // Per-shard read views: live atomic everywhere, unless a halo
-        // stages the off-shard components.
-        let shard_views: Vec<XView<'_>> = (0..n_shards)
-            .map(|s| match halo {
-                Some(h) => XView::Staged(h.view(s, xa)),
-                None => XView::Atomic(xa),
-            })
-            .collect();
-        let shard_views = &shard_views;
-        // The dispatch fence — the deterministic half of the outage
-        // boundary. A shard whose *entire* home-worker set is planned to
-        // die (Kill/Hang) dispatches no ticket at or beyond the outage
-        // round until the shard is adopted: the §4.5 semantics "the dead
-        // core's blocks receive no update after t0" must not depend on
-        // how quickly the OS schedules the dying thread. Without the
-        // fence, a descheduled victim lets survivors steal the doomed
-        // shard's entire remaining budget before the fault ever fires —
-        // no outage would be realised at all. The dying worker still
-        // performs the freeze/orphan bookkeeping when it fires (and
-        // detection still goes through the heartbeat protocol); the fence
-        // only pins the ticket counter, so between the fence round and
-        // the realised orphaning the system idles at the lag gate rather
-        // than running ahead.
-        let shard_fence: Vec<usize> = (0..n_shards)
-            .map(|s| {
-                let Some(plan) = faults else { return usize::MAX };
-                let mut fence = 0usize;
-                let mut homes = 0usize;
-                for w in 0..n_workers {
-                    if w % n_shards != s {
-                        continue;
-                    }
-                    homes += 1;
-                    match plan.fault_for(w) {
-                        Some(f) if matches!(f.kind, FaultKind::Kill | FaultKind::Hang) => {
-                            fence = fence.max(f.at_round)
-                        }
-                        _ => return usize::MAX,
-                    }
-                }
-                if homes == 0 {
-                    usize::MAX
-                } else {
-                    fence
-                }
-            })
-            .collect();
-        let shard_fence = &shard_fence;
+        let offsets = shards.map(|p| p.offsets());
+        ws.prepare(kernel, x, rounds, schedule, n_shards, n_workers, offsets);
+        let (st, snap) = RunState::new(ws, kernel, filter, halo, faults, &self.opts);
         let started = Instant::now();
-        let stop = &stop;
 
-        // The worker body, dispatched onto the leased pool threads. It
-        // captures the whole solve-local environment by shared reference;
-        // all per-worker mutable state lives inside.
-        let worker = |w: usize| {
-            {
-                let my_fault =
-                    faults.and_then(|p| p.fault_for(w)).map(|f| (f.kind, f.at_round));
-                {
-                    let home = w % n_shards;
-                    // Per-worker buffers: allocated at spawn (= solve
-                    // start), allocation-free once capacities settle.
-                    let mut out: Vec<f64> = Vec::new();
-                    let mut scratch = BlockScratch::new();
-                    let mut stale_local = StalenessHistogram::default();
-                    let mut fault_armed = my_fault.is_some();
-                    let mut poisoned = false;
-                    let mut died = false;
-                    // sync: Acquire pairs with the monitor's Release
-                    // store — a worker that observes stop=true also
-                    // observes everything the monitor did before raising
-                    // it (in particular its recorded stop watermark), so
-                    // `stopped_at` is coherent with worker-visible stop.
-                    'work: while !stop.load(Ordering::Acquire) {
-                        // The fault trigger, checked *before* drawing a
-                        // ticket so a dying worker never consumes (and
-                        // thereby loses) a dispatch it will not perform.
-                        if fault_armed {
-                            let (kind, at_round) = my_fault.unwrap();
-                            if skew.floor() >= at_round {
-                                fault_armed = false;
-                                match kind {
-                                    FaultKind::Panic => poisoned = true,
-                                    FaultKind::Kill | FaultKind::Hang => {
-                                        // The dying worker realises the
-                                        // outage: if it was the last live
-                                        // worker homed on its shard, the
-                                        // shard's blocks freeze out of the
-                                        // progress floor and the shard
-                                        // leaves the stealing pool. (A real
-                                        // dead core does not announce
-                                        // itself — *detection* still goes
-                                        // through the heartbeat protocol.)
-                                        //
-                                        // sync: AcqRel — the decrement both
-                                        // publishes this worker's last
-                                        // commits and, for the final
-                                        // decrementer, orders the freeze +
-                                        // orphan sequence after every
-                                        // sibling's death.
-                                        if home_alive[home].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                            for b in shard_off[home]..shard_off[home + 1] {
-                                                skew.freeze(b);
-                                            }
-                                            shard_state[home].orphan();
-                                        }
-                                        died = true;
-                                        if kind == FaultKind::Hang {
-                                            // Parked, not exited: the
-                                            // thread stays resident until
-                                            // the stop flag flips (stall
-                                            // supervision guarantees it
-                                            // eventually does).
-                                            //
-                                            // sync: Acquire pairs with the
-                                            // monitor's Release stop store.
-                                            while !stop.load(Ordering::Acquire) {
-                                                std::thread::sleep(Duration::from_micros(200));
-                                            }
-                                        }
-                                        break 'work;
-                                    }
-                                }
-                            }
-                        }
-                        let mut exhausted = true;
-                        for s in 0..n_shards {
-                            // sync: advisory emptiness probe; the draw
-                            // below revalidates with a CAS, so a stale
-                            // read only costs one extra pass.
-                            if next[s].load(Ordering::Relaxed) < shard_total[s] {
-                                exhausted = false;
-                                break;
-                            }
-                        }
-                        if exhausted {
-                            break 'work;
-                        }
-                        // The lag gate: a shard whose next dispatch round
-                        // is more than `max_round_lag` ahead of the
-                        // committed-progress floor is skipped — its
-                        // would-be worker steals from the laggards
-                        // instead, which both bounds the realised
-                        // staleness (Eq. 2) and actively rebalances the
-                        // load.
-                        let floor = skew.floor();
-                        // Draw a ticket: home shard first, then steal in
-                        // ring order from the eligible others. The draw
-                        // is a gate-validated CAS, not a fetch_add: the
-                        // ticket taken is exactly the one the bounds
-                        // check inspected. (A fetch_add after a separate
-                        // gate check can overshoot — racing workers each
-                        // validate the same `seen` and then draw
-                        // *different* tickets, some past the lag window,
-                        // which is precisely the `max_skew` bound leak
-                        // the model explorer catches.)
-                        let mut drawn = None;
-                        'probe: for probe in 0..n_shards {
-                            let s = (home + probe) % n_shards;
-                            let mut cap = shard_total[s];
-                            if has_faults {
-                                match shard_state[s].probe() {
-                                    // The outage: no ticket leaves an
-                                    // orphaned shard, no matter how far
-                                    // the stealing ring would reach.
-                                    ShardPhase::Orphaned => continue 'probe,
-                                    ShardPhase::Released => {
-                                        // The recovery handoff: one
-                                        // survivor wins the adoption CAS,
-                                        // thaws the blocks (ending their
-                                        // frozen spans), and logs the
-                                        // reassignment; losers fall
-                                        // through and treat the shard as
-                                        // pooled again.
-                                        if shard_state[s].try_adopt(w) {
-                                            for b in shard_off[s]..shard_off[s + 1] {
-                                                skew.thaw(b);
-                                            }
-                                            reassign_log.lock().push(Reassignment {
-                                                shard: s,
-                                                new_owner: w,
-                                                at_floor: skew.floor(),
-                                            });
-                                        }
-                                    }
-                                    // Adoption lifts the fence: the new
-                                    // owner (and the stealing ring) works
-                                    // the backlog from the outage round on.
-                                    ShardPhase::Adopted => {}
-                                    ShardPhase::Open => {
-                                        // Not yet orphaned, but doomed by
-                                        // plan: the fence caps dispatch at
-                                        // the outage round (see its
-                                        // definition above).
-                                        if shard_fence[s] != usize::MAX {
-                                            cap = cap.min(
-                                                shard_fence[s].saturating_mul(shard_len[s]),
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            // sync: Relaxed snapshot to seed the CAS loop
-                            // — staleness only costs a CAS retry.
-                            let mut seen = next[s].load(Ordering::Relaxed);
-                            loop {
-                                if seen >= cap || seen / shard_len[s] > floor + lag {
-                                    continue 'probe;
-                                }
-                                // sync: Relaxed CAS — the counter is a
-                                // pure ticket dispenser; the gate bound is
-                                // sound against a stale progress floor
-                                // because the floor is monotone and read
-                                // conservatively low.
-                                match next[s].compare_exchange_weak(
-                                    seen,
-                                    seen + 1,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                ) {
-                                    Ok(_) => {
-                                        drawn = Some((s, seen, probe != 0));
-                                        break 'probe;
-                                    }
-                                    Err(cur) => seen = cur,
-                                }
-                            }
-                        }
-                        let Some((s, t, was_stolen)) = drawn else {
-                            // Every eligible shard raced away (or only
-                            // in-flight commits can advance the floor);
-                            // let the holders make progress and retry.
-                            std::thread::yield_now();
-                            continue 'work;
-                        };
-                        let m = shard_len[s];
-                        let round = t / m;
-                        let block = tickets[s][t % (cycle_rounds * m)] as usize;
-                        if was_stolen {
-                            // sync: statistics counter, read after join.
-                            stolen.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Some(h) = halo {
-                            h.maybe_refresh(s, round, xa, skew.floor());
-                        }
-                        if filter.block_enabled(block, round) {
-                            acquire_block_flag(&in_flight[block]);
-                            // hb shadow: with the in-flight flag held,
-                            // this worker claims the block region and its
-                            // scratch exclusively — both claims must
-                            // happen-after the previous holder's (the
-                            // flag's Release/Acquire hand-off provides
-                            // the edge; a downgrade would be reported).
-                            #[cfg(any(feature = "model", feature = "sanitize"))]
-                            {
-                                abr_sync::hb::on_data_write(
-                                    abr_sync::hb::id_of(&in_flight[block]),
-                                    abr_sync::hb::Access::WriteExcl,
-                                );
-                                scratch.hb_claim();
-                            }
-                            // Realised shift of every neighbour read
-                            // (Eq. 3 measured, mirroring the DES): own
-                            // committed rounds minus what the read
-                            // actually delivers — the neighbour's count
-                            // when read live, the stage's freshness stamp
-                            // when it comes through the halo.
-                            if let Some(nbrs) = kernel.neighbor_blocks(block) {
-                                // sync: own count is only ever advanced
-                                // under this block's in-flight flag, which
-                                // we hold — the Relaxed read is exact.
-                                let own = counts[block].load(Ordering::Relaxed) as i64;
-                                for &j in nbrs {
-                                    let read = match halo {
-                                        Some(h) if block_shard[j] as usize != s => {
-                                            h.stage_stamp(s) as i64
-                                        }
-                                        // sync: deliberately racy neighbour
-                                        // progress sample — staleness here
-                                        // is the quantity being *measured*
-                                        // (Eq. 3), not a bug to order away.
-                                        _ => counts[j].load(Ordering::Relaxed) as i64,
-                                    };
-                                    stale_local.record(own - read);
-                                }
-                            }
-                            let (bs, be) = kernel.block_range(block);
-                            out.clear();
-                            out.resize(be - bs, 0.0);
-                            // A panicking sweep (a planned Panic fault or
-                            // a genuinely buggy kernel) is isolated here:
-                            // the commit is dropped, the flag still
-                            // released, the run degraded but never
-                            // aborted. `AssertUnwindSafe` is sound because
-                            // `out` is rebuilt above and the kernel
-                            // contract re-initialises every scratch region
-                            // it reads, so a torn state from an unwound
-                            // sweep cannot leak into a later one.
-                            let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || {
-                                    if poisoned {
-                                        panic!(
-                                            "injected fault: worker {w} poisoned, \
-                                             sweep of block {block} round {round} panics"
-                                        );
-                                    }
-                                    if fuse {
-                                        kernel.update_block_estimating(
-                                            block,
-                                            &shard_views[s],
-                                            &mut out,
-                                            &mut scratch,
-                                        )
-                                    } else {
-                                        kernel.update_block_with(
-                                            block,
-                                            &shard_views[s],
-                                            &mut out,
-                                            &mut scratch,
-                                        );
-                                        None
-                                    }
-                                },
-                            ));
-                            if let Ok(estimate) = swept {
-                                for (k, &v) in out.iter().enumerate() {
-                                    if filter.component_enabled(bs + k, round) {
-                                        xa.set(bs + k, v);
-                                    }
-                                }
-                                // sync: Relaxed is safe under the held
-                                // in-flight flag; cross-thread readers only
-                                // use the count as a staleness sample.
-                                counts[block].fetch_add(1, Ordering::Relaxed);
-                                // Publish the fused residual sub-norm while
-                                // still holding the block's in-flight flag
-                                // (one publisher per slot at a time). The
-                                // estimate is advisory — a poll it answers
-                                // can only skip an exact check, never stop
-                                // the run — so component drops by the fault
-                                // filter merely make it optimistic, which
-                                // the confirmation gate absorbs.
-                                if let Some(sub_norm_sq) = estimate {
-                                    residuals.publish(block, sub_norm_sq);
-                                }
-                            } else {
-                                // sync: statistics counter, read after join.
-                                panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // sync: Release publishes this block's
-                            // component writes and count bump to the next
-                            // worker that Acquire-wins the flag.
-                            in_flight[block].store(false, Ordering::Release);
-                        } else {
-                            // sync: statistics counter, read after join.
-                            skipped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        skew.on_progress(block);
-                        // sync: Relaxed — a monotone liveness beacon; the
-                        // monitor only compares successive samples for
-                        // equality, so no ordering is needed.
-                        heartbeats[w].fetch_add(1, Ordering::Relaxed);
-                    }
-                    if stale_local.total() > 0 {
-                        stale_sink.lock().merge(&stale_local);
-                    }
-                    if !died {
-                        // sync: Release pairs with the monitor's Acquire
-                        // read — a retired worker's frozen heartbeat is a
-                        // normal exit, never a death to detect. (A killed
-                        // or hung worker deliberately does *not* retire.)
-                        retired[w].store(true, Ordering::Release);
-                    }
-                    // sync: Release pairs with the monitor's Acquire load
-                    // — "active == 0" proves every worker's final writes
-                    // are visible before the monitor loop exits.
-                    active.fetch_sub(1, Ordering::Release);
-                }
-            }
-        };
-
-        // --- The concurrent monitor, on the calling thread. ---
-        // This is the paper's host: it reads the racy iterate on the
-        // side while the workers stream updates, and raises the stop
-        // flag the moment its check is satisfied.
-        let mut cancel_cause: Option<CancelCause> = None;
-        let mut monitor_loop = || {
-            let period = monitor.period();
-            let mut next_check = period.max(1);
-            let base_pause = self.opts.monitor_pause.max(Duration::from_micros(1));
-            let max_pause = base_pause * 64;
-            // Rate-paced polling: track how fast the watermark advances
-            // and sleep roughly until the next check is due. Blind
-            // exponential backoff alone would let fast, tiny rounds run
-            // hundreds of iterations past the stop point before the
-            // monitor wakes; pure fixed-rate polling would preempt the
-            // workers thousands of times per solve on a saturated host.
-            let mut last_wm = 0usize;
-            let mut last_t = Instant::now();
-            let mut per_round = base_pause;
-            let mut idle_pause = base_pause;
-            // Smoothed poll costs, tracked *per poll kind*: a fused
-            // O(n_blocks) reduce and an escalated snapshot + exact check
-            // differ by five orders of magnitude (~200 ns vs ~25 ms of
-            // CPU at a million rows), and the elapsed wall-clock of an
-            // exact check on a saturated host additionally includes the
-            // CPU it lost to the workers. One shared estimate would let
-            // a single escalation throttle the cheap fused polls into
-            // the same sparse cadence as the expensive ones — observed
-            // as the monitor sleeping 15+ rounds past the crossing. The
-            // pacing floor below is set from the cost of whichever poll
-            // kind just ran, so each kind's duty cycle is bounded at
-            // ~1/4 independently.
-            let mut fused_cost = Duration::ZERO;
-            let mut exact_cost = Duration::ZERO;
-            let mut poll_floor = Duration::ZERO;
-            // Stall supervision + death detection state. The progress
-            // signature folds every heartbeat and the live-worker count;
-            // while it does not change, nothing in the system can ever
-            // change it again except a worker action — so a signature
-            // frozen past `stall_timeout` proves the run is wedged
-            // (all workers dead/hung, or the survivors' only remaining
-            // tickets sit in a shard no recovery will release).
-            let mut last_sig = usize::MAX;
-            let mut last_beat = Instant::now();
-            let mut hb_seen = vec![usize::MAX; n_workers];
-            let mut hb_floor = vec![0usize; n_workers];
-            let mut dead = vec![false; n_workers];
-            let mut reassign_due: Vec<Option<usize>> = vec![None; n_shards];
-            loop {
-                // sync: Acquire pairs with each worker's Release
-                // decrement; zero means all worker writes are visible.
-                let live = active.load(Ordering::Acquire);
-                if live == 0 {
-                    break;
-                }
-                // The request-scoped stop: an explicit cancellation or an
-                // expired deadline becomes the run's ordinary Release
-                // stop store on the very next poll — the workers drain
-                // within one monitor poll, the latency bound the service
-                // layer advertises.
-                if cancel_cause.is_none() {
-                    if let Some(tok) = cancel {
-                        if let Some(why) = tok.should_stop() {
-                            cancel_cause = Some(why);
-                            // sync: Release pairs with the workers'
-                            // Acquire stop loads, as at every stop site.
-                            stop.store(true, Ordering::Release);
-                        }
-                    }
-                }
-                let mut sig = live;
-                for hb in heartbeats.iter() {
-                    // sync: Relaxed — monotone beacon, sampled only for
-                    // equality against the previous sample.
-                    sig = sig.wrapping_add(hb.load(Ordering::Relaxed));
-                }
-                if sig != last_sig {
-                    last_sig = sig;
-                    last_beat = Instant::now();
-                } else if last_beat.elapsed() >= stall_timeout {
-                    // Last-resort recovery sweep before declaring the run
-                    // wedged. The round-based detector below needs floor
-                    // headroom *after* the victim's last observed beat; if
-                    // the survivors drained their whole budget between two
-                    // monitor polls, that headroom never materialises and
-                    // the orphaned shard would wedge the run even though
-                    // recovery was requested. A frozen progress signature
-                    // is a stronger death certificate than any watermark
-                    // comparison — every non-retired worker is provably
-                    // not beating — so declare them, release what was
-                    // orphaned, and grant the system one more stall
-                    // window. Only if nothing could be released is the
-                    // run truly wedged.
-                    let mut rescued = false;
-                    if has_faults && recovery.is_some() {
-                        let floor = skew.floor();
-                        for dw in 0..n_workers {
-                            if dead[dw] {
-                                continue;
-                            }
-                            // sync: Acquire pairs with the worker's
-                            // retirement Release store (see below).
-                            if retired[dw].load(Ordering::Acquire) {
-                                dead[dw] = true;
-                                continue;
-                            }
-                            dead[dw] = true;
-                            report.fault.deaths.push(DeathRecord {
-                                worker: dw,
-                                declared_at: floor,
-                                detection_lag: floor.saturating_sub(hb_floor[dw]),
-                            });
-                        }
-                        for s in 0..n_shards {
-                            if reassign_due[s].is_none()
-                                && shard_state[s].probe() == ShardPhase::Orphaned
-                                && (0..n_workers).filter(|w| w % n_shards == s).all(|w| dead[w])
-                            {
-                                reassign_due[s] = Some(floor);
-                            }
-                        }
-                        for (s, due) in reassign_due.iter_mut().enumerate() {
-                            if due.is_some() && shard_state[s].release() {
-                                *due = None;
-                                rescued = true;
-                            }
-                        }
-                    }
-                    if rescued {
-                        last_beat = Instant::now();
-                    } else {
-                        // sync: Release pairs with the workers' (and hung
-                        // threads') Acquire stop loads — the Stalled
-                        // verdict and everything before it are visible to
-                        // whoever acts on the flag.
-                        stop.store(true, Ordering::Release);
-                        // The pool wait below still waits for the
-                        // threads; hung workers wake on the flag and exit.
-                        break;
-                    }
-                }
-                if has_faults {
-                    let floor = skew.floor();
-                    for dw in 0..n_workers {
-                        if dead[dw] {
-                            continue;
-                        }
-                        // sync: Acquire pairs with the worker's retirement
-                        // Release store — an exit observed here is never
-                        // misread as a death.
-                        if retired[dw].load(Ordering::Acquire) {
-                            dead[dw] = true;
-                            continue;
-                        }
-                        // sync: Relaxed beacon sample (see the worker's
-                        // beat site).
-                        let hb = heartbeats[dw].load(Ordering::Relaxed);
-                        if hb != hb_seen[dw] {
-                            hb_seen[dw] = hb;
-                            hb_floor[dw] = floor;
-                        } else if floor > hb_floor[dw] && floor - hb_floor[dw] >= detect_after {
-                            // The heartbeat sat still while the floor ran
-                            // `detect_after` rounds past it: declared
-                            // dead. (Spurious for a merely-starved worker,
-                            // which is harmless — `release` refuses
-                            // shards that were never orphaned.)
-                            dead[dw] = true;
-                            report.fault.deaths.push(DeathRecord {
-                                worker: dw,
-                                declared_at: floor,
-                                detection_lag: floor - hb_floor[dw],
-                            });
-                        }
-                    }
-                    // Recovery-(t_r) scheduling is decoupled from the
-                    // declaration event: a shard is due for release `t_r`
-                    // rounds after the first poll that observes it both
-                    // orphaned and fully detected (every home worker
-                    // declared dead). Tying it to the declaration itself
-                    // loses recovery permanently when a spurious early
-                    // declaration (a starved worker during spawn ramp-up)
-                    // lands while the doomed shard is still Open — the
-                    // sticky `dead` flag would then skip the real death.
-                    if recovery.is_some() {
-                        for s in 0..n_shards {
-                            if reassign_due[s].is_none()
-                                && shard_state[s].probe() == ShardPhase::Orphaned
-                                && (0..n_workers).filter(|w| w % n_shards == s).all(|w| dead[w])
-                            {
-                                reassign_due[s] = Some(floor + recovery.unwrap_or(0));
-                            }
-                        }
-                    }
-                    // A pending release fires when the floor has run
-                    // `t_r` rounds past the detection — or as soon as
-                    // every live (pooled/adopted) shard has drained its
-                    // budget: once the floor can no longer advance, the
-                    // remaining delay has no rounds left to be measured
-                    // in, and holding the shard would wedge a fixed-budget
-                    // run into a stall that recovery was asked to prevent.
-                    let any_due = reassign_due.iter().any(|d| d.is_some());
-                    let live_drained = any_due
-                        && (0..n_shards).all(|s| {
-                            matches!(
-                                shard_state[s].probe(),
-                                ShardPhase::Orphaned | ShardPhase::Released
-                            )
-                                // sync: advisory drain probe; a stale low
-                                // read only delays the early release by
-                                // one poll.
-                                || next[s].load(Ordering::Relaxed) >= shard_total[s]
-                        });
-                    for (s, due) in reassign_due.iter_mut().enumerate() {
-                        if let Some(d) = *due {
-                            if (floor >= d || live_drained) && shard_state[s].release() {
-                                *due = None;
-                            }
-                        }
-                    }
-                }
-                // sync: Acquire matches the flag's Release store (it is
-                // this thread's own store, but the facade audit keeps the
-                // flag's declared discipline uniform at every site).
-                if period > 0 && !stop.load(Ordering::Acquire) {
-                    // Watermark = dispatched rounds, not committed
-                    // updates: O(n_shards) per poll, and it keeps
-                    // advancing past blocks an [`UpdateFilter`] has
-                    // frozen (fault injection), so convergence checks
-                    // never stall behind a dead block. For the same
-                    // reason an orphaned (or released-but-unadopted)
-                    // shard is excluded: its dispatch counter is fenced
-                    // for the whole outage, and pinning the watermark to
-                    // it would silence every residual check of a
-                    // no-recovery run right when the plateau is the
-                    // thing being measured. An adopted shard rejoins the
-                    // minimum — its backlog is live work again.
-                    let watermark = (0..n_shards)
-                        .filter(|&s| {
-                            !has_faults
-                                || !matches!(
-                                    shard_state[s].probe(),
-                                    ShardPhase::Orphaned | ShardPhase::Released
-                                )
-                        })
-                        .map(|s| {
-                            // sync: racy progress sample; the counter is
-                            // monotone so a stale read only under-reports
-                            // the watermark (checks fire late, never on
-                            // future state).
-                            next[s].load(Ordering::Relaxed).min(shard_total[s]) / shard_len[s]
-                        })
-                        .min()
-                        .unwrap_or(0);
-                    if watermark > last_wm {
-                        let step = last_t.elapsed() / (watermark - last_wm) as u32;
-                        // Smooth towards the observed per-round time so a
-                        // single slow poll doesn't swing the pacing.
-                        per_round = (per_round + step) / 2;
-                        last_wm = watermark;
-                        last_t = Instant::now();
-                        idle_pause = base_pause;
-                    }
-                    if watermark >= next_check {
-                        let poll_started = Instant::now();
-                        // The fused fast path: when every block has
-                        // published a residual sub-norm, an O(n_blocks)
-                        // reduce prices this poll. `fused_check` may
-                        // *skip* the snapshot + exact check (the
-                        // estimate says convergence is far) but can
-                        // never stop the run — stopping strictly
-                        // requires the exact check below, so a stale or
-                        // lying estimate costs polls, not correctness.
-                        let escalate = match residuals.reduce() {
-                            Some(estimate_sq) => monitor.fused_check(watermark, estimate_sq),
-                            None => true,
-                        };
-                        if escalate {
-                            for (i, sl) in snap.iter_mut().enumerate() {
-                                *sl = xa.get(i);
-                            }
-                            report.checks += 1;
-                            if monitor.check(watermark, snap) {
-                                report.stopped_at = Some(watermark);
-                                // sync: Release publishes the recorded stop
-                                // watermark (the line above) to any worker
-                                // that Acquire-observes the flag — the
-                                // stop-watermark coherence invariant checked
-                                // by tests/model_stop_watermark.rs.
-                                stop.store(true, Ordering::Release);
-                            } else {
-                                next_check = watermark.saturating_add(period);
-                            }
-                            // Smooth towards the observed cost, like the
-                            // per-round estimate: one slow outlier (a page
-                            // fault mid-SpMV) should not triple the pacing
-                            // floor for the rest of the run.
-                            exact_cost = (exact_cost + poll_started.elapsed()) / 2;
-                            // Endgame override: when the check itself says
-                            // the crossing is imminent, pace like a fused
-                            // poll — sleeping 3x an exact check's (possibly
-                            // contention-inflated) wall cost here is how a
-                            // run overshoots the tolerance by many rounds.
-                            poll_floor = if monitor.urgent() {
-                                fused_cost.saturating_mul(3)
-                            } else {
-                                exact_cost.saturating_mul(3)
-                            };
-                        } else {
-                            report.fused_checks += 1;
-                            next_check = watermark.saturating_add(period);
-                            fused_cost = (fused_cost + poll_started.elapsed()) / 2;
-                            poll_floor = fused_cost.saturating_mul(3);
-                        }
-                        // Fall through to the pacing sleep instead of
-                        // re-polling immediately: when the workers outran
-                        // `next_check` during an expensive poll, an
-                        // unconditional catch-up would chain polls
-                        // back-to-back and pin the monitor at 100% duty —
-                        // exactly what the cost floor below exists to
-                        // prevent.
-                    }
-                    // Wake around halfway to the expected due time so the
-                    // check lands within ~period/2 of the true crossing.
-                    // The distance is clamped before widening to `u32`
-                    // and the multiply saturates: a monitor with a huge
-                    // `period` (e.g. `usize::MAX` to mean "never") must
-                    // degrade into the max pause, not overflow.
-                    let remaining = next_check.saturating_sub(watermark).min(1 << 16) as u32;
-                    let pause = (per_round.saturating_mul(remaining) / 2)
-                        .clamp(base_pause, max_pause)
-                        // The cost-aware floor: sleep at least 3x what the
-                        // last poll of this kind cost, so polling can
-                        // consume at most ~1/4 of the monitor thread's
-                        // wall-clock no matter how expensive the check
-                        // is. Deliberately applied after the clamp — a
-                        // multi-millisecond exact check must be allowed
-                        // to push the pause past `64 * monitor_pause` —
-                        // and reset per poll kind, so one escalation does
-                        // not throttle the nanosecond fused polls that
-                        // follow it.
-                        .max(poll_floor);
-                    std::thread::sleep(pause);
-                } else {
-                    // Nothing to check (fixed budget or stop already
-                    // raised): back off until the workers drain.
-                    std::thread::sleep(idle_pause);
-                    idle_pause = (idle_pause * 2).min(max_pause);
-                }
-            }
-        };
-
+        let worker = |w: usize| run_worker(&st, w);
         let pending = pool.dispatch(lease, &worker);
-        {
+        let host = {
             // Unwind backstop: a panicking monitor (e.g. a violated
             // contract assert) raises stop on the way out so the wait
             // below does not run the workers' full round budget.
-            let _raise = RaiseStopOnExit(stop);
-            monitor_loop();
-        }
+            let _raise = RaiseStopOnExit(&st.stop);
+            let mut host = Host::new(monitor, snap, cancel, &self.opts, &st);
+            host.run(&st);
+            host
+        };
         // The wait is the run's join edge — every worker's writes are
         // visible to the post-run reads below.
         let escaped = pending.wait();
@@ -1747,58 +973,9 @@ impl PersistentExecutor {
             "{escaped} worker bodies unwound outside the per-sweep catch_unwind"
         );
 
-        trace.elapsed = started.elapsed().as_secs_f64();
-        // Fold still-frozen outages (the no-recovery regime) into the
-        // skew accounting before reading it: an outage nobody thawed is
-        // still realised skew.
-        skew.reconcile();
-        // sync: the pool wait has joined every worker — these Relaxed
-        // reads are ordered by the join edges and therefore exact.
-        trace.updates_per_block = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        // sync: post-join read (see above).
-        trace.skipped_updates = skipped.load(Ordering::Relaxed);
-        trace.max_skew = skew.max_skew();
-        trace.staleness = stale_sink.into_inner();
-        report.global_iterations =
-            trace.updates_per_block.iter().copied().min().unwrap_or(0);
-        // sync: post-join read (see above).
-        report.stolen_updates = stolen.load(Ordering::Relaxed);
-        report.halo_refreshes = halo.map_or(0, |h| h.refreshes());
-        report.fault.reassignments = reassign_log.into_inner();
-        // sync: post-join read (see above).
-        report.fault.caught_panics = panics.load(Ordering::Relaxed);
-        report.fault.max_outage_rounds = skew.max_outage();
-        report.fault.frozen_spans = skew
-            .frozen_spans()
-            .into_iter()
-            .map(|(block, frozen_at, outage_rounds, thawed)| FrozenSpan {
-                block,
-                frozen_at,
-                outage_rounds,
-                thawed,
-            })
-            .collect();
-        report.outcome = if report.stopped_at.is_some() {
-            RunOutcome::Stopped
-        } else if (0..n_shards)
-            // sync: post-join read (see above).
-            .all(|s| next[s].load(Ordering::Relaxed) >= shard_total[s])
-        {
-            RunOutcome::Completed
-        } else if let Some(why) = cancel_cause {
-            // Undrained because the request-scoped token fired: the
-            // caller asked for the stop, so this is neither convergence
-            // nor a wedge.
-            match why {
-                CancelCause::Cancelled => RunOutcome::Cancelled,
-                CancelCause::DeadlineExceeded => RunOutcome::DeadlineExceeded,
-            }
-        } else {
-            // Undrained and never stopped by a check: the workers exited
-            // on kills or on the stall-supervision stop — either way the
-            // run wedged with tickets outstanding.
-            RunOutcome::Stalled
-        };
+        let xa = st.xa;
+        let (trace, report) = finish_run(st, host, started.elapsed());
+        let lag = self.opts.max_round_lag;
         // The staleness contract, re-derived for the outage window (see
         // the method docs): the fault-free `max_round_lag + 1` widens by
         // exactly the largest realised outage. Asserted, not hand-waved.
@@ -1812,6 +989,1027 @@ impl PersistentExecutor {
         xa.copy_into(x);
         (trace, report)
     }
+}
+
+/// The solve-local environment of one run, borrowed by the workers and
+/// the monitor alike: the run's inputs, the prepared workspace's shared
+/// views, and the counters, flags and trackers the two sides meet in.
+/// Per-worker mutable state lives in [`WorkerLocal`], monitor-side state
+/// in [`Host`].
+struct RunState<'r> {
+    kernel: &'r dyn BlockKernel,
+    filter: &'r dyn UpdateFilter,
+    halo: Option<&'r HaloExchange>,
+    faults: Option<&'r FaultPlan>,
+    xa: &'r AtomicF64Vec,
+    tickets: &'r [Vec<u32>],
+    next: &'r [SyncUsize],
+    shard_len: &'r [usize],
+    shard_total: &'r [usize],
+    shard_off: &'r [usize],
+    counts: &'r [SyncUsize],
+    in_flight: &'r [SyncBool],
+    block_shard: &'r [u32],
+    heartbeats: &'r [SyncUsize],
+    retired: &'r [SyncBool],
+    shard_state: &'r [ShardState],
+    home_alive: &'r [SyncUsize],
+    residuals: &'r ResidualSlots,
+    cycle_rounds: usize,
+    n_workers: usize,
+    n_shards: usize,
+    lag: usize,
+    fuse: bool,
+    has_faults: bool,
+    stop: SyncBool,
+    /// Workers still running; the monitor loop ends when it reaches 0.
+    active: SyncUsize,
+    skipped: SyncUsize,
+    stolen: SyncUsize,
+    panics: SyncUsize,
+    /// The concurrent count-of-counts watermark (allocated here, at
+    /// solve start). Its floor — the minimum per-block *progress*
+    /// (commits plus filter-skips) — is what the lag gate compares
+    /// dispatch rounds against: gating on committed progress rather
+    /// than dispatched tickets is what makes the reported
+    /// `max_skew <= max_round_lag + 1` airtight (an in-flight dispatch
+    /// no longer lets other blocks run an extra window ahead), and
+    /// counting skips keeps a filter-frozen block from pinning the floor
+    /// forever.
+    skew: SkewTracker,
+    /// Each worker records read staleness into a private histogram and
+    /// merges it here at exit (one lock per worker per run).
+    stale_sink: Mutex<StalenessHistogram>,
+    /// Adoption log: one lock per recovery handoff, not per update.
+    reassign_log: Mutex<Vec<Reassignment>>,
+    /// Per-shard read views: live atomic everywhere, unless a halo
+    /// stages the off-shard components.
+    shard_views: Vec<XView<'r>>,
+    /// Per-shard dispatch fence round (`usize::MAX`: unfenced); see
+    /// [`shard_fences`].
+    shard_fence: Vec<usize>,
+}
+
+impl<'r> RunState<'r> {
+    /// The shared state of one run over a prepared workspace, and the
+    /// workspace's snapshot buffer. Disjoint borrows of the workspace:
+    /// workers share the immutable parts, the monitor alone touches the
+    /// snapshot buffer.
+    fn new(
+        ws: &'r mut PersistentWorkspace,
+        kernel: &'r dyn BlockKernel,
+        filter: &'r dyn UpdateFilter,
+        halo: Option<&'r HaloExchange>,
+        faults: Option<&'r FaultPlan>,
+        opts: &PersistentOptions,
+    ) -> (RunState<'r>, &'r mut [f64]) {
+        // `prepare` sized these: one heartbeat per worker, one length per
+        // shard.
+        let n_workers = ws.heartbeats.len();
+        let n_shards = ws.shard_len.len();
+        let x = &ws.x;
+        let st = RunState {
+            kernel,
+            filter,
+            halo,
+            faults,
+            xa: x,
+            tickets: &ws.shard_tickets,
+            next: &ws.shard_next,
+            shard_len: &ws.shard_len,
+            shard_total: &ws.shard_total,
+            shard_off: &ws.shard_off,
+            counts: &ws.counts,
+            in_flight: &ws.in_flight,
+            block_shard: &ws.block_shard,
+            heartbeats: &ws.heartbeats,
+            retired: &ws.retired,
+            shard_state: &ws.shard_state,
+            home_alive: &ws.home_alive,
+            residuals: &ws.residuals,
+            cycle_rounds: ws.cycle_rounds,
+            n_workers,
+            n_shards,
+            lag: opts.max_round_lag,
+            fuse: opts.fuse_residuals,
+            has_faults: faults.is_some_and(|p| !p.is_empty()),
+            stop: SyncBool::new(false),
+            active: SyncUsize::new(n_workers),
+            skipped: SyncUsize::new(0),
+            stolen: SyncUsize::new(0),
+            panics: SyncUsize::new(0),
+            skew: SkewTracker::new(kernel.n_blocks()),
+            stale_sink: Mutex::new(StalenessHistogram::default()),
+            reassign_log: Mutex::new(Vec::new()),
+            shard_views: (0..n_shards)
+                .map(|s| match halo {
+                    Some(h) => XView::Staged(h.view(s, x)),
+                    None => XView::Atomic(x),
+                })
+                .collect(),
+            shard_fence: shard_fences(faults, n_workers, n_shards),
+        };
+        (st, &mut ws.snapshot)
+    }
+}
+
+/// The dispatch fence — the deterministic half of the outage boundary. A
+/// shard whose *entire* home-worker set is planned to die (Kill/Hang)
+/// dispatches no ticket at or beyond the outage round until the shard is
+/// adopted: the §4.5 semantics "the dead core's blocks receive no update
+/// after t0" must not depend on how quickly the OS schedules the dying
+/// thread. Without the fence, a descheduled victim lets survivors steal
+/// the doomed shard's entire remaining budget before the fault ever
+/// fires — no outage would be realised at all. The dying worker still
+/// performs the freeze/orphan bookkeeping when it fires (and detection
+/// still goes through the heartbeat protocol); the fence only pins the
+/// ticket counter, so between the fence round and the realised orphaning
+/// the system idles at the lag gate rather than running ahead.
+fn shard_fences(faults: Option<&FaultPlan>, n_workers: usize, n_shards: usize) -> Vec<usize> {
+    (0..n_shards)
+        .map(|s| {
+            let Some(plan) = faults else { return usize::MAX };
+            let mut fence = 0usize;
+            let mut homes = 0usize;
+            for w in (0..n_workers).filter(|&w| home_shard(w, n_shards) == s) {
+                homes += 1;
+                match plan.fault_for(w) {
+                    Some(f) if matches!(f.kind, FaultKind::Kill | FaultKind::Hang) => {
+                        fence = fence.max(f.at_round)
+                    }
+                    _ => return usize::MAX,
+                }
+            }
+            if homes == 0 {
+                usize::MAX
+            } else {
+                fence
+            }
+        })
+        .collect()
+}
+
+/// One worker's private state for a run: its sweep buffers and staleness
+/// histogram — allocated at spawn (= solve start), allocation-free once
+/// capacities settle — and its planned fault.
+struct WorkerLocal {
+    w: usize,
+    home: usize,
+    out: Vec<f64>,
+    scratch: BlockScratch,
+    stale: StalenessHistogram,
+    /// The planned fault `(kind, at_round)`, until it fires.
+    fault: Option<(FaultKind, usize)>,
+    /// A fired [`FaultKind::Panic`]: every later sweep panics.
+    poisoned: bool,
+}
+
+/// What a worker's [`draw_ticket`] came back with.
+enum Draw {
+    /// Every shard has dispatched its whole budget.
+    Exhausted,
+    /// Every eligible shard raced away (or only in-flight commits can
+    /// advance the floor).
+    Blocked,
+    /// `block` at absolute `round`, drawn from `shard`.
+    Ticket { shard: usize, round: usize, block: usize },
+}
+
+/// The worker body, dispatched onto each leased pool thread: fire the
+/// planned fault, draw a ticket, refresh the halo, sweep and commit,
+/// beat — until the budget drains, the stop flag flips, or the worker
+/// dies.
+fn run_worker(st: &RunState<'_>, w: usize) {
+    let mut me = WorkerLocal {
+        w,
+        home: home_shard(w, st.n_shards),
+        out: Vec::new(),
+        scratch: BlockScratch::new(),
+        stale: StalenessHistogram::default(),
+        fault: st.faults.and_then(|p| p.fault_for(w)).map(|f| (f.kind, f.at_round)),
+        poisoned: false,
+    };
+    let mut died = false;
+    // sync: Acquire pairs with the monitor's Release store — a worker
+    // that observes stop=true also observes everything the monitor did
+    // before raising it (in particular its recorded stop watermark), so
+    // `stopped_at` is coherent with worker-visible stop.
+    while !st.stop.load(Ordering::Acquire) {
+        // The fault trigger, checked *before* drawing a ticket so a dying
+        // worker never consumes (and thereby loses) a dispatch it will
+        // not perform.
+        if fire_fault(st, &mut me) {
+            died = true;
+            break;
+        }
+        let (shard, round, block) = match draw_ticket(st, &me) {
+            Draw::Exhausted => break,
+            Draw::Blocked => {
+                // Let the holders make progress and retry.
+                std::thread::yield_now();
+                continue;
+            }
+            Draw::Ticket { shard, round, block } => (shard, round, block),
+        };
+        if let Some(h) = st.halo {
+            h.maybe_refresh(shard, round, st.xa, st.skew.floor());
+        }
+        sweep_and_commit(st, &mut me, shard, round, block);
+        st.skew.on_progress(block);
+        // sync: Relaxed — a monotone liveness beacon; the monitor only
+        // compares successive samples for equality, so no ordering is
+        // needed.
+        st.heartbeats[w].fetch_add(1, Ordering::Relaxed);
+    }
+    if me.stale.total() > 0 {
+        st.stale_sink.lock().merge(&me.stale);
+    }
+    if !died {
+        // sync: Release pairs with the monitor's Acquire read — a retired
+        // worker's frozen heartbeat is a normal exit, never a death to
+        // detect. (A killed or hung worker deliberately does *not*
+        // retire.)
+        st.retired[w].store(true, Ordering::Release);
+    }
+    // sync: Release pairs with the monitor's Acquire load — "active == 0"
+    // proves every worker's final writes are visible before the monitor
+    // loop exits.
+    st.active.fetch_sub(1, Ordering::Release);
+}
+
+/// Fires the worker's planned fault once the committed-progress floor
+/// reaches its trigger round. A `Panic` poisons every later sweep. A
+/// `Kill` or `Hang` realises the outage and returns `true`: the worker
+/// is dead and draws no more tickets.
+#[inline]
+fn fire_fault(st: &RunState<'_>, me: &mut WorkerLocal) -> bool {
+    let Some((kind, at_round)) = me.fault else { return false };
+    if st.skew.floor() < at_round {
+        return false;
+    }
+    me.fault = None;
+    if kind == FaultKind::Panic {
+        me.poisoned = true;
+        return false;
+    }
+    // The dying worker realises the outage: if it was the last live
+    // worker homed on its shard, the shard's blocks freeze out of the
+    // progress floor and the shard leaves the stealing pool. (A real dead
+    // core does not announce itself — *detection* still goes through the
+    // heartbeat protocol.)
+    //
+    // sync: AcqRel — the decrement both publishes this worker's last
+    // commits and, for the final decrementer, orders the freeze + orphan
+    // sequence after every sibling's death.
+    if st.home_alive[me.home].fetch_sub(1, Ordering::AcqRel) == 1 {
+        for b in st.shard_off[me.home]..st.shard_off[me.home + 1] {
+            st.skew.freeze(b);
+        }
+        st.shard_state[me.home].orphan();
+    }
+    if kind == FaultKind::Hang {
+        // Parked, not exited: the thread stays resident until the stop
+        // flag flips (stall supervision guarantees it eventually does).
+        //
+        // sync: Acquire pairs with the monitor's Release stop store.
+        while !st.stop.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+    true
+}
+
+/// Draws the worker's next ticket: the exhaustion probe, the lag gate,
+/// the fault runtime's fence and adoption handoff, and the gate-validated
+/// CAS — home shard first, then the others in ring order.
+fn draw_ticket(st: &RunState<'_>, me: &WorkerLocal) -> Draw {
+    let mut exhausted = true;
+    for s in 0..st.n_shards {
+        // sync: advisory emptiness probe; the draw below revalidates with
+        // a CAS, so a stale read only costs one extra pass.
+        if st.next[s].load(Ordering::Relaxed) < st.shard_total[s] {
+            exhausted = false;
+            break;
+        }
+    }
+    if exhausted {
+        return Draw::Exhausted;
+    }
+    // The lag gate: a shard whose next dispatch round is more than
+    // `max_round_lag` ahead of the committed-progress floor is skipped —
+    // its would-be worker steals from the laggards instead, which both
+    // bounds the realised staleness (Eq. 2) and actively rebalances the
+    // load.
+    let floor = st.skew.floor();
+    // Draw a ticket: home shard first, then steal in ring order from the
+    // eligible others. The draw is a gate-validated CAS, not a fetch_add:
+    // the ticket taken is exactly the one the bounds check inspected. (A
+    // fetch_add after a separate gate check can overshoot — racing
+    // workers each validate the same `seen` and then draw *different*
+    // tickets, some past the lag window, which is precisely the
+    // `max_skew` bound leak the model explorer catches.)
+    for probe in 0..st.n_shards {
+        let s = (me.home + probe) % st.n_shards;
+        let m = st.shard_len[s];
+        let mut cap = st.shard_total[s];
+        if st.has_faults {
+            match st.shard_state[s].probe() {
+                // The outage: no ticket leaves an orphaned shard, no
+                // matter how far the stealing ring would reach.
+                ShardPhase::Orphaned => continue,
+                ShardPhase::Released => {
+                    // The recovery handoff: one survivor wins the
+                    // adoption CAS, thaws the blocks (ending their frozen
+                    // spans), and logs the reassignment; losers fall
+                    // through and treat the shard as pooled again.
+                    if st.shard_state[s].try_adopt(me.w) {
+                        for b in st.shard_off[s]..st.shard_off[s + 1] {
+                            st.skew.thaw(b);
+                        }
+                        st.reassign_log.lock().push(Reassignment {
+                            shard: s,
+                            new_owner: me.w,
+                            at_floor: st.skew.floor(),
+                        });
+                    }
+                }
+                // Adoption lifts the fence: the new owner (and the
+                // stealing ring) works the backlog from the outage round
+                // on.
+                ShardPhase::Adopted => {}
+                ShardPhase::Open => {
+                    // Not yet orphaned, but doomed by plan: the fence
+                    // caps dispatch at the outage round (see
+                    // `shard_fences`).
+                    if st.shard_fence[s] != usize::MAX {
+                        cap = cap.min(st.shard_fence[s].saturating_mul(m));
+                    }
+                }
+            }
+        }
+        // sync: Relaxed snapshot to seed the CAS loop — staleness only
+        // costs a CAS retry.
+        let mut seen = st.next[s].load(Ordering::Relaxed);
+        while seen < cap && seen / m <= floor + st.lag {
+            // sync: Relaxed CAS — the counter is a pure ticket dispenser;
+            // the gate bound is sound against a stale progress floor
+            // because the floor is monotone and read conservatively low.
+            match st.next[s].compare_exchange_weak(
+                seen,
+                seen + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    if probe != 0 {
+                        // sync: statistics counter, read after join.
+                        st.stolen.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let block = st.tickets[s][seen % (st.cycle_rounds * m)] as usize;
+                    return Draw::Ticket { shard: s, round: seen / m, block };
+                }
+                Err(cur) => seen = cur,
+            }
+        }
+    }
+    Draw::Blocked
+}
+
+/// Runs one drawn ticket. A filter-disabled ticket only counts as
+/// skipped. Otherwise, under the block's in-flight flag: sample the read
+/// staleness, sweep inside `catch_unwind`, commit the filtered
+/// components, bump the count, publish the fused residual, and release
+/// the flag.
+fn sweep_and_commit(
+    st: &RunState<'_>,
+    me: &mut WorkerLocal,
+    s: usize,
+    round: usize,
+    block: usize,
+) {
+    if !st.filter.block_enabled(block, round) {
+        // sync: statistics counter, read after join.
+        st.skipped.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    acquire_block_flag(&st.in_flight[block]);
+    // hb shadow: with the in-flight flag held, this worker claims the
+    // block region and its scratch exclusively — both claims must
+    // happen-after the previous holder's (the flag's Release/Acquire
+    // hand-off provides the edge; a downgrade would be reported).
+    #[cfg(any(feature = "model", feature = "sanitize"))]
+    {
+        abr_sync::hb::on_data_write(
+            abr_sync::hb::id_of(&st.in_flight[block]),
+            abr_sync::hb::Access::WriteExcl,
+        );
+        me.scratch.hb_claim();
+    }
+    // Realised shift of every neighbour read (Eq. 3 measured, mirroring
+    // the DES): own committed rounds minus what the read actually
+    // delivers — the neighbour's count when read live, the stage's
+    // freshness stamp when it comes through the halo.
+    if let Some(nbrs) = st.kernel.neighbor_blocks(block) {
+        // sync: own count is only ever advanced under this block's
+        // in-flight flag, which we hold — the Relaxed read is exact.
+        let own = st.counts[block].load(Ordering::Relaxed) as i64;
+        for &j in nbrs {
+            let read = match st.halo {
+                Some(h) if st.block_shard[j] as usize != s => h.stage_stamp(s) as i64,
+                // sync: deliberately racy neighbour progress sample —
+                // staleness here is the quantity being *measured* (Eq.
+                // 3), not a bug to order away.
+                _ => st.counts[j].load(Ordering::Relaxed) as i64,
+            };
+            me.stale.record(own - read);
+        }
+    }
+    let (bs, be) = st.kernel.block_range(block);
+    me.out.clear();
+    me.out.resize(be - bs, 0.0);
+    // A panicking sweep (a planned Panic fault or a genuinely buggy
+    // kernel) is isolated here: the commit is dropped, the flag still
+    // released, the run degraded but never aborted. `AssertUnwindSafe` is
+    // sound because `out` is rebuilt above and the kernel contract
+    // re-initialises every scratch region it reads, so a torn state from
+    // an unwound sweep cannot leak into a later one.
+    let view = &st.shard_views[s];
+    let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if me.poisoned {
+            panic!(
+                "injected fault: worker {} poisoned, \
+                 sweep of block {block} round {round} panics",
+                me.w
+            );
+        }
+        if st.fuse {
+            st.kernel.update_block_estimating(block, view, &mut me.out, &mut me.scratch)
+        } else {
+            st.kernel.update_block_with(block, view, &mut me.out, &mut me.scratch);
+            None
+        }
+    }));
+    if let Ok(estimate) = swept {
+        for (k, &v) in me.out.iter().enumerate() {
+            if st.filter.component_enabled(bs + k, round) {
+                st.xa.set(bs + k, v);
+            }
+        }
+        // sync: Relaxed is safe under the held in-flight flag; cross-thread
+        // readers only use the count as a staleness sample.
+        st.counts[block].fetch_add(1, Ordering::Relaxed);
+        // Publish the fused residual sub-norm while still holding the
+        // block's in-flight flag (one publisher per slot at a time). The
+        // estimate is advisory — a poll it answers can only skip an exact
+        // check, never stop the run — so component drops by the fault
+        // filter merely make it optimistic, which the confirmation gate
+        // absorbs.
+        if let Some(sub_norm_sq) = estimate {
+            st.residuals.publish(block, sub_norm_sq);
+        }
+    } else {
+        // sync: statistics counter, read after join.
+        st.panics.fetch_add(1, Ordering::Relaxed);
+    }
+    // sync: Release publishes this block's component writes and count
+    // bump to the next worker that Acquire-wins the flag.
+    st.in_flight[block].store(false, Ordering::Release);
+}
+
+/// The fault runtime's monitor half, written once: it declares deaths
+/// from stalled heartbeats, schedules the recovery-(t_r) release of every
+/// orphaned, fully detected shard, and fires due releases. The monitor
+/// polls it every iteration; the stall rescue polls it forced.
+struct FaultDetector {
+    /// Workers declared dead or seen retired (sticky).
+    dead: Vec<bool>,
+    /// Per worker: the last heartbeat sampled, and the floor when it was
+    /// first seen.
+    hb_seen: Vec<usize>,
+    hb_floor: Vec<usize>,
+    /// Per shard: the floor at which its scheduled release fires.
+    reassign_due: Vec<Option<usize>>,
+    detect_after: usize,
+    recovery: Option<usize>,
+    /// Declared deaths, in detection order.
+    deaths: Vec<DeathRecord>,
+}
+
+impl FaultDetector {
+    fn new(
+        n_workers: usize,
+        n_shards: usize,
+        detect_after: usize,
+        recovery: Option<usize>,
+    ) -> FaultDetector {
+        FaultDetector {
+            dead: vec![false; n_workers],
+            hb_seen: vec![usize::MAX; n_workers],
+            hb_floor: vec![0; n_workers],
+            reassign_due: vec![None; n_shards],
+            detect_after,
+            recovery,
+            deaths: Vec::new(),
+        }
+    }
+
+    /// One detector poll; returns whether a release fired. Unforced, a
+    /// worker whose heartbeat sat still while the floor ran
+    /// `detect_after` rounds is declared dead, and a scheduled release
+    /// fires once the floor reaches it. Forced (the stall rescue, whose
+    /// frozen progress signature already proves no non-retired worker is
+    /// beating), every non-retired worker is declared dead and every
+    /// scheduled release fires now.
+    fn poll(&mut self, st: &RunState<'_>, force: bool) -> bool {
+        let floor = st.skew.floor();
+        for dw in 0..st.n_workers {
+            if self.dead[dw] {
+                continue;
+            }
+            // sync: Acquire pairs with the worker's retirement Release
+            // store — an exit observed here is never misread as a death.
+            if st.retired[dw].load(Ordering::Acquire) {
+                self.dead[dw] = true;
+                continue;
+            }
+            if !force {
+                // sync: Relaxed beacon sample (see the worker's beat
+                // site).
+                let hb = st.heartbeats[dw].load(Ordering::Relaxed);
+                if hb != self.hb_seen[dw] {
+                    self.hb_seen[dw] = hb;
+                    self.hb_floor[dw] = floor;
+                    continue;
+                }
+                if floor <= self.hb_floor[dw] || floor - self.hb_floor[dw] < self.detect_after {
+                    continue;
+                }
+            }
+            // The heartbeat sat still while the floor ran `detect_after`
+            // rounds past it (forced: while no worker beat for the whole
+            // stall timeout): declared dead. (Spurious for a
+            // merely-starved worker, which is harmless — `release`
+            // refuses shards that were never orphaned.)
+            self.dead[dw] = true;
+            self.deaths.push(DeathRecord {
+                worker: dw,
+                declared_at: floor,
+                detection_lag: floor.saturating_sub(self.hb_floor[dw]),
+            });
+        }
+        // Recovery-(t_r) scheduling is decoupled from the declaration
+        // event: a shard is due for release `t_r` rounds after the first
+        // poll that observes it both orphaned and fully detected (every
+        // home worker declared dead). Tying it to the declaration itself
+        // loses recovery permanently when a spurious early declaration (a
+        // starved worker during spawn ramp-up) lands while the doomed
+        // shard is still Open — the sticky `dead` flag would then skip
+        // the real death.
+        if let Some(t_r) = self.recovery {
+            for s in 0..st.n_shards {
+                if self.reassign_due[s].is_none()
+                    && st.shard_state[s].probe() == ShardPhase::Orphaned
+                    && (0..st.n_workers)
+                        .filter(|&w| home_shard(w, st.n_shards) == s)
+                        .all(|w| self.dead[w])
+                {
+                    self.reassign_due[s] = Some(floor + t_r);
+                }
+            }
+        }
+        // A pending release fires when the floor has run `t_r` rounds
+        // past the detection — or as soon as every live (pooled/adopted)
+        // shard has drained its budget: once the floor can no longer
+        // advance, the remaining delay has no rounds left to be measured
+        // in, and holding the shard would wedge a fixed-budget run into a
+        // stall that recovery was asked to prevent.
+        let fire_all = force
+            || (self.reassign_due.iter().any(|d| d.is_some())
+                && (0..st.n_shards).all(|s| {
+                    matches!(
+                        st.shard_state[s].probe(),
+                        ShardPhase::Orphaned | ShardPhase::Released
+                    )
+                        // sync: advisory drain probe; a stale low
+                        // read only delays the early release by
+                        // one poll.
+                        || st.next[s].load(Ordering::Relaxed) >= st.shard_total[s]
+                }));
+        let mut fired = false;
+        for (s, due) in self.reassign_due.iter_mut().enumerate() {
+            if let Some(d) = *due {
+                if (fire_all || floor >= d) && st.shard_state[s].release() {
+                    *due = None;
+                    fired = true;
+                }
+            }
+        }
+        fired
+    }
+}
+
+/// The monitor's self-pacing. Rate-paced polling: track how fast the
+/// watermark advances and sleep roughly until the next check is due.
+/// Blind exponential backoff alone would let fast, tiny rounds run
+/// hundreds of iterations past the stop point before the monitor wakes;
+/// pure fixed-rate polling would preempt the workers thousands of times
+/// per solve on a saturated host.
+///
+/// Smoothed poll costs are tracked *per poll kind*: a fused O(n_blocks)
+/// reduce and an escalated snapshot + exact check differ by five orders
+/// of magnitude (~200 ns vs ~25 ms of CPU at a million rows), and the
+/// elapsed wall-clock of an exact check on a saturated host additionally
+/// includes the CPU it lost to the workers. One shared estimate would let
+/// a single escalation throttle the cheap fused polls into the same
+/// sparse cadence as the expensive ones — observed as the monitor
+/// sleeping 15+ rounds past the crossing. The pacing floor is set from
+/// the cost of whichever poll kind just ran, so each kind's duty cycle is
+/// bounded at ~1/4 independently.
+struct Pacer {
+    base_pause: Duration,
+    max_pause: Duration,
+    last_wm: usize,
+    last_t: Instant,
+    per_round: Duration,
+    idle_pause: Duration,
+    fused_cost: Duration,
+    exact_cost: Duration,
+    poll_floor: Duration,
+}
+
+impl Pacer {
+    fn new(monitor_pause: Duration) -> Pacer {
+        let base_pause = monitor_pause.max(Duration::from_micros(1));
+        Pacer {
+            base_pause,
+            max_pause: base_pause * 64,
+            last_wm: 0,
+            last_t: Instant::now(),
+            per_round: base_pause,
+            idle_pause: base_pause,
+            fused_cost: Duration::ZERO,
+            exact_cost: Duration::ZERO,
+            poll_floor: Duration::ZERO,
+        }
+    }
+
+    /// Folds a fresh watermark sample into the per-round time estimate.
+    fn observe(&mut self, watermark: usize) {
+        if watermark > self.last_wm {
+            let step = self.last_t.elapsed() / (watermark - self.last_wm) as u32;
+            // Smooth towards the observed per-round time so a single slow
+            // poll doesn't swing the pacing.
+            self.per_round = (self.per_round + step) / 2;
+            self.last_wm = watermark;
+            self.last_t = Instant::now();
+            self.idle_pause = self.base_pause;
+        }
+    }
+
+    /// Records what a poll answered by the fused estimate cost.
+    fn fused_polled(&mut self, cost: Duration) {
+        self.fused_cost = (self.fused_cost + cost) / 2;
+        self.poll_floor = self.fused_cost.saturating_mul(3);
+    }
+
+    /// Records what an escalated snapshot + exact check cost; `urgent`
+    /// is the monitor's word that the crossing is imminent.
+    fn exact_polled(&mut self, cost: Duration, urgent: bool) {
+        // Smooth towards the observed cost, like the per-round estimate:
+        // one slow outlier (a page fault mid-SpMV) should not triple the
+        // pacing floor for the rest of the run.
+        self.exact_cost = (self.exact_cost + cost) / 2;
+        // Endgame override: when the check itself says the crossing is
+        // imminent, pace like a fused poll — sleeping 3x an exact check's
+        // (possibly contention-inflated) wall cost here is how a run
+        // overshoots the tolerance by many rounds.
+        self.poll_floor = if urgent {
+            self.fused_cost.saturating_mul(3)
+        } else {
+            self.exact_cost.saturating_mul(3)
+        };
+    }
+
+    /// The sleep before the next poll: wake around halfway to the
+    /// expected due time so the check lands within ~period/2 of the true
+    /// crossing. The distance is clamped before widening to `u32` and the
+    /// multiply saturates: a monitor with a huge `period` (e.g.
+    /// `usize::MAX` to mean "never") must degrade into the max pause, not
+    /// overflow.
+    fn pause(&self, watermark: usize, next_check: usize) -> Duration {
+        let remaining = next_check.saturating_sub(watermark).min(1 << 16) as u32;
+        (self.per_round.saturating_mul(remaining) / 2)
+            .clamp(self.base_pause, self.max_pause)
+            // The cost-aware floor: sleep at least 3x what the last poll
+            // of this kind cost, so polling can consume at most ~1/4 of
+            // the monitor thread's wall-clock no matter how expensive the
+            // check is. Deliberately applied after the clamp — a
+            // multi-millisecond exact check must be allowed to push the
+            // pause past `64 * monitor_pause` — and reset per poll kind,
+            // so one escalation does not throttle the nanosecond fused
+            // polls that follow it.
+            .max(self.poll_floor)
+    }
+
+    /// The backoff when there is nothing to check: doubles up to the max
+    /// pause, reset by the next watermark advance.
+    fn idle(&mut self) -> Duration {
+        let pause = self.idle_pause;
+        self.idle_pause = (pause * 2).min(self.max_pause);
+        pause
+    }
+}
+
+/// The dispatch watermark. Watermark = dispatched rounds, not committed
+/// updates: O(n_shards) per poll, and it keeps advancing past blocks an
+/// [`UpdateFilter`] has frozen (fault injection), so convergence checks
+/// never stall behind a dead block. For the same reason an orphaned (or
+/// released-but-unadopted) shard is excluded: its dispatch counter is
+/// fenced for the whole outage, and pinning the watermark to it would
+/// silence every residual check of a no-recovery run right when the
+/// plateau is the thing being measured. An adopted shard rejoins the
+/// minimum — its backlog is live work again.
+fn watermark(st: &RunState<'_>) -> usize {
+    (0..st.n_shards)
+        .filter(|&s| {
+            !st.has_faults
+                || !matches!(
+                    st.shard_state[s].probe(),
+                    ShardPhase::Orphaned | ShardPhase::Released
+                )
+        })
+        .map(|s| {
+            // sync: racy progress sample; the counter is monotone so a
+            // stale read only under-reports the watermark (checks fire
+            // late, never on future state).
+            st.next[s].load(Ordering::Relaxed).min(st.shard_total[s]) / st.shard_len[s]
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+/// The monitor side of a run, on the calling thread. This is the paper's
+/// host: it reads the racy iterate on the side while the workers stream
+/// updates, and raises the stop flag the moment its check is satisfied.
+/// It also runs the fault detector and the stall supervision.
+struct Host<'h> {
+    monitor: &'h mut dyn ConvergenceMonitor,
+    snap: &'h mut [f64],
+    cancel: Option<&'h CancelToken>,
+    period: usize,
+    next_check: usize,
+    pacer: Pacer,
+    detector: FaultDetector,
+    /// Stall supervision. The progress signature folds every heartbeat
+    /// and the live-worker count; while it does not change, nothing in
+    /// the system can ever change it again except a worker action — so a
+    /// signature frozen past `stall_timeout` proves the run is wedged
+    /// (all workers dead/hung, or the survivors' only remaining tickets
+    /// sit in a shard no recovery will release).
+    stall_timeout: Duration,
+    last_sig: usize,
+    last_beat: Instant,
+    checks: usize,
+    fused_checks: usize,
+    stopped_at: Option<usize>,
+    cancel_cause: Option<CancelCause>,
+}
+
+impl<'h> Host<'h> {
+    fn new(
+        monitor: &'h mut dyn ConvergenceMonitor,
+        snap: &'h mut [f64],
+        cancel: Option<&'h CancelToken>,
+        opts: &PersistentOptions,
+        st: &RunState<'_>,
+    ) -> Host<'h> {
+        let period = monitor.period();
+        let recovery = st.faults.and_then(|p| p.recovery_rounds);
+        let detect_after = opts.detect_after_rounds.max(1);
+        Host {
+            monitor,
+            snap,
+            cancel,
+            period,
+            next_check: period.max(1),
+            pacer: Pacer::new(opts.monitor_pause),
+            detector: FaultDetector::new(st.n_workers, st.n_shards, detect_after, recovery),
+            stall_timeout: opts.stall_timeout.max(Duration::from_millis(1)),
+            last_sig: usize::MAX,
+            last_beat: Instant::now(),
+            checks: 0,
+            fused_checks: 0,
+            stopped_at: None,
+            cancel_cause: None,
+        }
+    }
+
+    /// The monitor loop: runs until every worker has exited.
+    fn run(&mut self, st: &RunState<'_>) {
+        loop {
+            // sync: Acquire pairs with each worker's Release decrement;
+            // zero means all worker writes are visible.
+            let live = st.active.load(Ordering::Acquire);
+            if live == 0 {
+                break;
+            }
+            self.check_cancel(st);
+            if self.stalled(st, live) {
+                // Last-resort recovery sweep before declaring the run
+                // wedged. The round-based detector needs floor headroom
+                // *after* the victim's last observed beat; if the
+                // survivors drained their whole budget between two
+                // monitor polls, that headroom never materialises and the
+                // orphaned shard would wedge the run even though recovery
+                // was requested. A frozen progress signature is a
+                // stronger death certificate than any watermark
+                // comparison — every non-retired worker is provably not
+                // beating — so the detector's forced poll declares them,
+                // releases what was orphaned, and grants the system one
+                // more stall window. Only if nothing could be released is
+                // the run truly wedged.
+                let recovers = st.has_faults && self.detector.recovery.is_some();
+                if recovers && self.detector.poll(st, true) {
+                    self.last_beat = Instant::now();
+                } else {
+                    // sync: Release pairs with the workers' (and hung
+                    // threads') Acquire stop loads — the Stalled verdict
+                    // and everything before it are visible to whoever
+                    // acts on the flag.
+                    st.stop.store(true, Ordering::Release);
+                    // The pool wait still waits for the threads; hung
+                    // workers wake on the flag and exit.
+                    break;
+                }
+            }
+            if st.has_faults {
+                self.detector.poll(st, false);
+            }
+            // sync: Acquire matches the flag's Release store (it is this
+            // thread's own store, but the facade audit keeps the flag's
+            // declared discipline uniform at every site).
+            if self.period > 0 && !st.stop.load(Ordering::Acquire) {
+                let watermark = watermark(st);
+                self.pacer.observe(watermark);
+                if watermark >= self.next_check {
+                    self.poll(st, watermark);
+                    // Fall through to the pacing sleep instead of
+                    // re-polling immediately: when the workers outran
+                    // `next_check` during an expensive poll, an
+                    // unconditional catch-up would chain polls
+                    // back-to-back and pin the monitor at 100% duty —
+                    // exactly what the pacer's cost floor exists to
+                    // prevent.
+                }
+                std::thread::sleep(self.pacer.pause(watermark, self.next_check));
+            } else {
+                // Nothing to check (fixed budget or stop already raised):
+                // back off until the workers drain.
+                std::thread::sleep(self.pacer.idle());
+            }
+        }
+    }
+
+    /// The request-scoped stop: an explicit cancellation or an expired
+    /// deadline becomes the run's ordinary Release stop store on the very
+    /// next poll — the workers drain within one monitor poll, the latency
+    /// bound the service layer advertises.
+    fn check_cancel(&mut self, st: &RunState<'_>) {
+        if self.cancel_cause.is_some() {
+            return;
+        }
+        if let Some(why) = self.cancel.and_then(|tok| tok.should_stop()) {
+            self.cancel_cause = Some(why);
+            // sync: Release pairs with the workers' Acquire stop loads, as
+            // at every stop site.
+            st.stop.store(true, Ordering::Release);
+        }
+    }
+
+    /// Whether the progress signature has sat still for the whole stall
+    /// timeout.
+    fn stalled(&mut self, st: &RunState<'_>, live: usize) -> bool {
+        let mut sig = live;
+        for hb in st.heartbeats {
+            // sync: Relaxed — monotone beacon, sampled only for equality
+            // against the previous sample.
+            sig = sig.wrapping_add(hb.load(Ordering::Relaxed));
+        }
+        if sig != self.last_sig {
+            self.last_sig = sig;
+            self.last_beat = Instant::now();
+            return false;
+        }
+        self.last_beat.elapsed() >= self.stall_timeout
+    }
+
+    /// One convergence poll at a due watermark. The fused fast path:
+    /// when every block has published a residual sub-norm, an
+    /// O(n_blocks) reduce prices this poll. `fused_check` may *skip* the
+    /// snapshot + exact check (the estimate says convergence is far) but
+    /// can never stop the run — stopping strictly requires the exact
+    /// check, so a stale or lying estimate costs polls, not correctness.
+    fn poll(&mut self, st: &RunState<'_>, watermark: usize) {
+        let poll_started = Instant::now();
+        let escalate = match st.residuals.reduce() {
+            Some(estimate_sq) => self.monitor.fused_check(watermark, estimate_sq),
+            None => true,
+        };
+        if !escalate {
+            self.fused_checks += 1;
+            self.next_check = watermark.saturating_add(self.period);
+            self.pacer.fused_polled(poll_started.elapsed());
+            return;
+        }
+        for (i, sl) in self.snap.iter_mut().enumerate() {
+            *sl = st.xa.get(i);
+        }
+        self.checks += 1;
+        if self.monitor.check(watermark, self.snap) {
+            self.stopped_at = Some(watermark);
+            // sync: Release publishes the recorded stop watermark (the
+            // line above) to any worker that Acquire-observes the flag —
+            // the stop-watermark coherence invariant checked by
+            // tests/model_stop_watermark.rs.
+            st.stop.store(true, Ordering::Release);
+        } else {
+            self.next_check = watermark.saturating_add(self.period);
+        }
+        let cost = poll_started.elapsed();
+        self.pacer.exact_polled(cost, self.monitor.urgent());
+    }
+}
+
+/// Builds the trace and report of a joined run.
+fn finish_run(
+    st: RunState<'_>,
+    host: Host<'_>,
+    elapsed: Duration,
+) -> (UpdateTrace, PersistentReport) {
+    let mut trace = UpdateTrace::new(st.counts.len());
+    trace.elapsed = elapsed.as_secs_f64();
+    // Fold still-frozen outages (the no-recovery regime) into the skew
+    // accounting before reading it: an outage nobody thawed is still
+    // realised skew.
+    st.skew.reconcile();
+    // sync: the pool wait has joined every worker — these Relaxed reads
+    // are ordered by the join edges and therefore exact.
+    trace.updates_per_block = st.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+    // sync: post-join read (see above).
+    trace.skipped_updates = st.skipped.load(Ordering::Relaxed);
+    trace.max_skew = st.skew.max_skew();
+    trace.staleness = st.stale_sink.into_inner();
+    let outcome = if host.stopped_at.is_some() {
+        RunOutcome::Stopped
+    } else if (0..st.n_shards)
+        // sync: post-join read (see above).
+        .all(|s| st.next[s].load(Ordering::Relaxed) >= st.shard_total[s])
+    {
+        RunOutcome::Completed
+    } else if let Some(why) = host.cancel_cause {
+        // Undrained because the request-scoped token fired: the caller
+        // asked for the stop, so this is neither convergence nor a wedge.
+        match why {
+            CancelCause::Cancelled => RunOutcome::Cancelled,
+            CancelCause::DeadlineExceeded => RunOutcome::DeadlineExceeded,
+        }
+    } else {
+        // Undrained and never stopped by a check: the workers exited on
+        // kills or on the stall-supervision stop — either way the run
+        // wedged with tickets outstanding.
+        RunOutcome::Stalled
+    };
+    let fault = FaultReport {
+        deaths: host.detector.deaths,
+        reassignments: st.reassign_log.into_inner(),
+        frozen_spans: st
+            .skew
+            .frozen_spans()
+            .into_iter()
+            .map(|(block, frozen_at, outage_rounds, thawed)| FrozenSpan {
+                block,
+                frozen_at,
+                outage_rounds,
+                thawed,
+            })
+            .collect(),
+        // sync: post-join read (see above).
+        caught_panics: st.panics.load(Ordering::Relaxed),
+        max_outage_rounds: st.skew.max_outage(),
+    };
+    let report = PersistentReport {
+        global_iterations: trace.updates_per_block.iter().copied().min().unwrap_or(0),
+        stopped_at: host.stopped_at,
+        checks: host.checks,
+        fused_checks: host.fused_checks,
+        // sync: post-join read (see above).
+        stolen_updates: st.stolen.load(Ordering::Relaxed),
+        workers_spawned: st.n_workers,
+        halo_refreshes: st.halo.map_or(0, |h| h.refreshes()),
+        outcome,
+        fault,
+    };
+    (trace, report)
 }
 
 #[cfg(test)]
@@ -1920,22 +2118,25 @@ mod tests {
         let mut x = vec![2.0; 12];
         let exec = PersistentExecutor::new(PersistentOptions {
             n_workers: 2,
-            schedule_cycle: 4, // force cycling well below the budget
             ..PersistentOptions::default()
         });
+        // A budget past two materialised cycles: the ticket lists wrap.
+        let rounds = 600;
+        assert!(rounds > 2 * SCHEDULE_CYCLE);
         let mut ws = PersistentWorkspace::new();
         let (trace, report) = exec.run_session(
             &kernel,
             &mut x,
-            50,
+            rounds,
             &mut RandomPermutation::new(3),
             &AllowAll,
             &mut NoMonitor,
             &mut ws,
             RunSession::default(),
         );
-        assert_eq!(trace.updates_per_block, vec![50; 4]);
-        assert_eq!(report.global_iterations, 50);
+        assert_eq!(ws.cycle_rounds, SCHEDULE_CYCLE);
+        assert_eq!(trace.updates_per_block, vec![rounds; 4]);
+        assert_eq!(report.global_iterations, rounds);
     }
 
     #[test]
