@@ -672,10 +672,6 @@ pub struct AsyncJacobiKernel<'a> {
     local_iters: usize,
     damping: f64,
     local_sweep: LocalSweep,
-    /// Per row: the sub-range of the row's CSR entries whose columns fall
-    /// inside the row's own block (columns are sorted, so it's one
-    /// contiguous span). Used only by the reference path.
-    local_span: Vec<(usize, usize)>,
     /// Testing/benchmarking hook: pin every block to one sweep tier
     /// instead of the plan's per-block selection (see
     /// [`force_tier`](Self::force_tier)).
@@ -721,15 +717,6 @@ impl<'a> AsyncJacobiKernel<'a> {
         descriptor: Option<&StencilDescriptor>,
     ) -> Result<Self> {
         let plan = BlockPlan::compile_with_stencil(a, partition, descriptor)?;
-        let n = a.n_rows();
-        let mut local_span = Vec::with_capacity(n);
-        for r in 0..n {
-            let block = partition.block(partition.block_of(r));
-            let (cols, _) = a.row(r);
-            let lo = cols.partition_point(|&c| c < block.start);
-            let hi = cols.partition_point(|&c| c < block.end);
-            local_span.push((lo, hi));
-        }
         Ok(AsyncJacobiKernel {
             a,
             rhs,
@@ -737,7 +724,6 @@ impl<'a> AsyncJacobiKernel<'a> {
             local_iters,
             damping,
             local_sweep,
-            local_span,
             tier_override: None,
         })
     }
@@ -793,13 +779,21 @@ impl<'a> AsyncJacobiKernel<'a> {
         let nb = end - start;
         debug_assert_eq!(out.len(), nb);
         let inv_diag = self.plan.inv_diag();
+        // Per row: the sub-range of its CSR entries whose columns fall
+        // inside the block (columns are sorted, so it is one span).
+        let local_span: Vec<(usize, usize)> = (start..end)
+            .map(|r| {
+                let cols = self.a.row(r).0;
+                (cols.partition_point(|&c| c < start), cols.partition_point(|&c| c < end))
+            })
+            .collect();
 
         // Step 1+2: snapshot local values, freeze the off-block part.
         let mut cur: Vec<f64> = (start..end).map(|i| x.get(i)).collect();
         let mut frozen = vec![0.0f64; nb];
         for (li, r) in (start..end).enumerate() {
             let (cols, vals) = self.a.row(r);
-            let (lo, hi) = self.local_span[r];
+            let (lo, hi) = local_span[li];
             let mut acc = self.rhs[r];
             for k in 0..lo {
                 acc -= vals[k] * x.get(cols[k]);
@@ -817,7 +811,7 @@ impl<'a> AsyncJacobiKernel<'a> {
                 for _ in 0..self.local_iters {
                     for (li, r) in (start..end).enumerate() {
                         let (cols, vals) = self.a.row(r);
-                        let (lo, hi) = self.local_span[r];
+                        let (lo, hi) = local_span[li];
                         let mut acc = frozen[li];
                         for k in lo..hi {
                             let c = cols[k];
@@ -839,7 +833,7 @@ impl<'a> AsyncJacobiKernel<'a> {
                 for _ in 0..self.local_iters {
                     for (li, r) in (start..end).enumerate() {
                         let (cols, vals) = self.a.row(r);
-                        let (lo, hi) = self.local_span[r];
+                        let (lo, hi) = local_span[li];
                         let mut acc = frozen[li];
                         for k in lo..hi {
                             let c = cols[k];

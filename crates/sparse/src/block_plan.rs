@@ -29,7 +29,7 @@
 
 use crate::par::ParContext;
 use crate::partition::{RowBlock, RowPartition};
-use crate::stencil::{StencilBlock, StencilDescriptor};
+use crate::stencil::{RowCursor, RunBuilder, StencilBlock, StencilDescriptor};
 use crate::{CsrMatrix, Result, SparseError};
 
 /// Local-row widths up to this many off-diagonal entries get an
@@ -154,22 +154,37 @@ pub struct BlockPlan {
     widest_block: usize,
 }
 
-/// One block's compiled structures with block-relative row pointers,
-/// produced independently of every other block and concatenated in block
-/// order by the merge in [`BlockPlan::compile_with_ctx`].
+/// One block's share of the plan's flat arrays: disjoint `&mut` slices
+/// at the block's offsets, which its compile fills in place.
+struct BlockSlices<'p> {
+    inv_diag: &'p mut [f64],
+    /// The end pointers of the block's rows (entries `start + 1 ..= end`
+    /// of the flat row pointer).
+    local_ptr: &'p mut [usize],
+    local_cols: &'p mut [u32],
+    local_vals: &'p mut [f64],
+    halo_ptr: &'p mut [usize],
+    halo_cols: &'p mut [usize],
+    halo_vals: &'p mut [f64],
+    /// Offsets of the block's first local and halo entries.
+    local_base: usize,
+    halo_base: usize,
+}
+
+/// The per-block structures a block's compile returns besides what it
+/// writes into its [`BlockSlices`].
 struct CompiledBlock {
-    inv_diag: Vec<f64>,
-    local_ptr: Vec<usize>,
-    local_cols: Vec<u32>,
-    local_vals: Vec<f64>,
-    halo_ptr: Vec<usize>,
-    halo_cols: Vec<usize>,
-    halo_vals: Vec<f64>,
     ell: Option<BlockEll>,
     stencil: Option<StencilBlock>,
     tier: SweepTier,
-    nnz: f64,
     neighbors: Vec<usize>,
+}
+
+/// Cuts the first `len` elements off `rest`.
+fn carve<'p, T>(rest: &mut &'p mut [T], len: usize) -> &'p mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 impl BlockPlan {
@@ -180,10 +195,11 @@ impl BlockPlan {
     }
 
     /// Compiles the plan with an optional matrix-free stencil tier. The
-    /// descriptor is [`StencilDescriptor::verify`]-ed against `a` first —
-    /// an `Err` (rather than a silent fallback) when it does not describe
-    /// the matrix exactly, so a caller opting a hand-loaded matrix in
-    /// learns immediately that the fast path would have been wrong.
+    /// descriptor is [`StencilDescriptor::verify`]-ed against `a` as part
+    /// of the compile — an `Err` (rather than a silent fallback) when it
+    /// does not describe the matrix exactly, so a caller opting a
+    /// hand-loaded matrix in learns immediately that the fast path would
+    /// have been wrong. The error is the one `verify` returns.
     ///
     /// Large matrices (≥ [`PAR_COMPILE_MIN_NNZ`] nonzeros) compile their
     /// blocks concurrently on one thread per available core; the result is
@@ -207,11 +223,20 @@ impl BlockPlan {
     ///
     /// Each block's packed structures depend only on `(a, partition,
     /// descriptor)` restricted to that block's rows, so blocks compile
-    /// independently (in parallel) and are concatenated **in block order**
-    /// with their row pointers rebased. Every array in the result is
-    /// therefore byte-for-byte identical for every thread count, and the
-    /// first error in block order matches the sequential compile's first
-    /// error (each block reports its own lowest failing row).
+    /// independently (in parallel). A first pass counts each block's
+    /// local and halo entries; their prefix sums give every block its own
+    /// slices of the flat arrays, which the second pass fills in place.
+    /// Every array in the result is therefore byte-for-byte identical for
+    /// every thread count.
+    ///
+    /// The descriptor's shape is checked up front; its rows are checked
+    /// inside the second pass, each row before it is split, with the same
+    /// row check [`StencilDescriptor::verify`] runs. Each block stops at
+    /// its lowest failing row and the first failing block's error is
+    /// returned, so the error is the sequential compile's first error.
+    /// With a descriptor that error is the one `verify` reports: the
+    /// stencil centre is nonzero, so a row without a usable diagonal
+    /// fails the stencil check before the diagonal check sees it.
     pub fn compile_with_ctx(
         a: &CsrMatrix,
         partition: &RowPartition,
@@ -219,7 +244,7 @@ impl BlockPlan {
         ctx: ParContext,
     ) -> Result<BlockPlan> {
         if let Some(d) = descriptor {
-            d.verify(a)?;
+            d.check_shape(a)?;
         }
         assert!(a.is_square(), "block plans need a square matrix");
         assert_eq!(partition.n(), a.n_rows(), "partition must cover the matrix");
@@ -231,55 +256,63 @@ impl BlockPlan {
         block_offsets.extend(blocks.iter().map(|b| b.start));
         block_offsets.push(n);
 
-        let compiled = ctx.map_indexed(n_blocks, |b| {
-            Self::compile_block(a, partition, &blocks[b], descriptor)
+        let counts = ctx.map_indexed(n_blocks, |b| Self::count_block(a, &blocks[b]));
+        let total_local = counts.iter().map(|c| c.0).sum();
+        let total_halo = counts.iter().map(|c| c.1).sum();
+        let mut inv_diag = vec![0.0f64; n];
+        let mut local_row_ptr = vec![0usize; n + 1];
+        let mut local_cols = vec![0u32; total_local];
+        let mut local_vals = vec![0.0f64; total_local];
+        let mut halo_row_ptr = vec![0usize; n + 1];
+        let mut halo_cols = vec![0usize; total_halo];
+        let mut halo_vals = vec![0.0f64; total_halo];
+
+        // Running sums of the counts place each block's disjoint slices.
+        let mut slices = Vec::with_capacity(n_blocks);
+        {
+            let mut inv_diag = &mut inv_diag[..];
+            let mut local_ptr = &mut local_row_ptr[1..];
+            let mut local_cols = &mut local_cols[..];
+            let mut local_vals = &mut local_vals[..];
+            let mut halo_ptr = &mut halo_row_ptr[1..];
+            let mut halo_cols = &mut halo_cols[..];
+            let mut halo_vals = &mut halo_vals[..];
+            let (mut local_base, mut halo_base) = (0, 0);
+            for (blk, &(nl, nh)) in blocks.iter().zip(&counts) {
+                let nb = blk.len();
+                slices.push(BlockSlices {
+                    inv_diag: carve(&mut inv_diag, nb),
+                    local_ptr: carve(&mut local_ptr, nb),
+                    local_cols: carve(&mut local_cols, nl),
+                    local_vals: carve(&mut local_vals, nl),
+                    halo_ptr: carve(&mut halo_ptr, nb),
+                    halo_cols: carve(&mut halo_cols, nh),
+                    halo_vals: carve(&mut halo_vals, nh),
+                    local_base,
+                    halo_base,
+                });
+                local_base += nl;
+                halo_base += nh;
+            }
+        }
+        let compiled = ctx.map_each(slices, |b, out| {
+            Self::compile_block(a, partition, &blocks[b], descriptor, out)
         });
 
-        // Deterministic merge: blocks concatenate in block order with row
-        // pointers rebased by the running totals, reproducing exactly the
-        // arrays the single-pass sequential loop would have built.
-        let total_local: usize =
-            compiled.iter().map(|c| c.as_ref().map_or(0, |c| c.local_cols.len())).sum();
-        let total_halo: usize =
-            compiled.iter().map(|c| c.as_ref().map_or(0, |c| c.halo_cols.len())).sum();
-        let mut inv_diag = vec![0.0f64; n];
-        let mut local_row_ptr = Vec::with_capacity(n + 1);
-        let mut local_cols: Vec<u32> = Vec::with_capacity(total_local);
-        let mut local_vals: Vec<f64> = Vec::with_capacity(total_local);
-        let mut halo_row_ptr = Vec::with_capacity(n + 1);
-        let mut halo_cols: Vec<usize> = Vec::with_capacity(total_halo);
-        let mut halo_vals: Vec<f64> = Vec::with_capacity(total_halo);
         let mut ell = Vec::with_capacity(n_blocks);
         let mut stencil = Vec::with_capacity(n_blocks);
         let mut tier = Vec::with_capacity(n_blocks);
-        let mut block_nnz = Vec::with_capacity(n_blocks);
-        let mut neighbors: Vec<Vec<usize>> = Vec::with_capacity(n_blocks);
-        let mut widest_block = 0usize;
-
-        local_row_ptr.push(0);
-        halo_row_ptr.push(0);
-
-        for (blk, part) in blocks.iter().zip(compiled) {
+        let mut neighbors = Vec::with_capacity(n_blocks);
+        for part in compiled {
             let part = part?;
-            let nb = blk.len();
-            widest_block = widest_block.max(nb);
-            inv_diag[blk.start..blk.end].copy_from_slice(&part.inv_diag);
-            let local_base = local_cols.len();
-            let halo_base = halo_cols.len();
-            for i in 1..=nb {
-                local_row_ptr.push(local_base + part.local_ptr[i]);
-                halo_row_ptr.push(halo_base + part.halo_ptr[i]);
-            }
-            local_cols.extend_from_slice(&part.local_cols);
-            local_vals.extend_from_slice(&part.local_vals);
-            halo_cols.extend_from_slice(&part.halo_cols);
-            halo_vals.extend_from_slice(&part.halo_vals);
             ell.push(part.ell);
             stencil.push(part.stencil);
             tier.push(part.tier);
-            block_nnz.push(part.nnz);
             neighbors.push(part.neighbors);
         }
+        let row_ptr = a.row_ptr();
+        let block_nnz = blocks.iter().map(|b| (row_ptr[b.end] - row_ptr[b.start]) as f64).collect();
+        let widest_block = blocks.iter().map(RowBlock::len).max().unwrap_or(0);
 
         Ok(BlockPlan {
             n,
@@ -300,103 +333,117 @@ impl BlockPlan {
         })
     }
 
-    /// Compiles one block's packed structures, self-contained: row
-    /// pointers are block-relative (rebased during the merge) and the
-    /// content per row is computed exactly as the sequential loop did, so
-    /// concatenation in block order reproduces it bit-for-bit.
+    /// The `(local, halo)` entry counts [`compile_block`](Self::compile_block)
+    /// writes for `blk`: off-diagonal entries inside the block, and
+    /// entries outside it.
+    fn count_block(a: &CsrMatrix, blk: &RowBlock) -> (usize, usize) {
+        let (mut local, mut halo) = (0usize, 0usize);
+        for r in blk.start..blk.end {
+            for &c in a.row(r).0 {
+                let inside = blk.contains(c);
+                local += (inside && c != r) as usize;
+                halo += !inside as usize;
+            }
+        }
+        (local, halo)
+    }
+
+    /// Compiles one block into its slices of the flat arrays, each row
+    /// exactly as the sequential loop over all rows would, and returns
+    /// its per-block structures. With a descriptor each row is verified
+    /// before it is split and feeds the block's stencil runs.
     fn compile_block(
         a: &CsrMatrix,
         partition: &RowPartition,
         blk: &RowBlock,
         descriptor: Option<&StencilDescriptor>,
+        out: BlockSlices<'_>,
     ) -> Result<CompiledBlock> {
         let nb = blk.len();
-        let mut inv_diag = vec![0.0f64; nb];
-        let mut local_ptr = Vec::with_capacity(nb + 1);
-        let mut local_cols: Vec<u32> = Vec::new();
-        let mut local_vals: Vec<f64> = Vec::new();
-        let mut halo_ptr = Vec::with_capacity(nb + 1);
-        let mut halo_cols: Vec<usize> = Vec::new();
-        let mut halo_vals: Vec<f64> = Vec::new();
-        local_ptr.push(0);
-        halo_ptr.push(0);
-        let mut nnz = 0usize;
+        let (mut nl, mut nh) = (0usize, 0usize);
         let mut max_local_width = 0usize;
-        let mut nbr_seen = std::collections::BTreeSet::new();
+        let mut stencil = descriptor.map(|d| {
+            (RowCursor::new(d, blk.start), RunBuilder::new(blk.start, blk.end, d.taps().len()))
+        });
+        // Halo columns come in runs inside one neighbour block, so the
+        // owner lookup is skipped while a column stays in the last one
+        // found; `seen` dedupes the short neighbour list.
+        let mut last = RowBlock { start: 0, end: 0 };
+        let mut seen = vec![false; partition.len()];
+        let mut neighbors = Vec::new();
 
-        for r in blk.start..blk.end {
+        for (li, r) in (blk.start..blk.end).enumerate() {
             let (cols, vals) = a.row(r);
-            nnz += cols.len();
+            if let Some((rows, runs)) = &mut stencil {
+                rows.verify_row(cols, vals)?;
+                runs.push(rows);
+                rows.advance();
+            }
             let mut found_diag = false;
-            let local_start = local_cols.len();
+            let local_start = nl;
             for (&c, &v) in cols.iter().zip(vals) {
                 if c == r {
                     if v != 0.0 {
-                        inv_diag[r - blk.start] = 1.0 / v;
+                        out.inv_diag[li] = 1.0 / v;
                         found_diag = true;
                     }
                 } else if blk.contains(c) {
-                    local_cols.push((c - blk.start) as u32);
-                    local_vals.push(v);
+                    out.local_cols[nl] = (c - blk.start) as u32;
+                    out.local_vals[nl] = v;
+                    nl += 1;
                 } else {
-                    halo_cols.push(c);
-                    halo_vals.push(v);
-                    nbr_seen.insert(partition.block_of(c));
+                    out.halo_cols[nh] = c;
+                    out.halo_vals[nh] = v;
+                    nh += 1;
+                    if !last.contains(c) {
+                        let owner = partition.block_of(c);
+                        last = partition.block(owner);
+                        if !seen[owner] {
+                            seen[owner] = true;
+                            neighbors.push(owner);
+                        }
+                    }
                 }
             }
             if !found_diag {
                 return Err(SparseError::ZeroDiagonal { row: r });
             }
-            max_local_width = max_local_width.max(local_cols.len() - local_start);
-            local_ptr.push(local_cols.len());
-            halo_ptr.push(halo_cols.len());
+            max_local_width = max_local_width.max(nl - local_start);
+            out.local_ptr[li] = out.local_base + nl;
+            out.halo_ptr[li] = out.halo_base + nh;
         }
+        neighbors.sort_unstable();
 
         let ell = if max_local_width <= ELL_MAX_WIDTH && nb > 0 {
-            Some(Self::pack_ell(&local_ptr, &local_cols, &local_vals, nb, max_local_width))
+            Some(Self::pack_ell(&out, max_local_width))
         } else {
             None
         };
-        let stencil = descriptor.map(|d| d.compile_block(blk.start, blk.end));
+        let stencil = stencil.map(|(_, runs)| runs.finish());
         let tier = match (&stencil, &ell) {
             (Some(_), _) => SweepTier::Stencil,
             (None, Some(_)) if nb >= crate::simd::LANES => SweepTier::EllSimd,
             (None, Some(_)) => SweepTier::Ell,
             (None, None) => SweepTier::Csr,
         };
-        Ok(CompiledBlock {
-            inv_diag,
-            local_ptr,
-            local_cols,
-            local_vals,
-            halo_ptr,
-            halo_cols,
-            halo_vals,
-            ell,
-            stencil,
-            tier,
-            nnz: nnz as f64,
-            neighbors: nbr_seen.into_iter().collect(),
-        })
+        Ok(CompiledBlock { ell, stencil, tier, neighbors })
     }
 
-    fn pack_ell(
-        row_ptr: &[usize],
-        all_cols: &[u32],
-        all_vals: &[f64],
-        rows: usize,
-        width: usize,
-    ) -> BlockEll {
+    /// The ELL layout of a block whose local rows are already written.
+    fn pack_ell(block: &BlockSlices<'_>, width: usize) -> BlockEll {
+        let rows = block.local_ptr.len();
         // Padding: value 0.0, column `rows` (the sweep scratch keeps an
         // always-zero slot there, see module docs).
         let mut cols = vec![rows as u32; rows * width];
         let mut vals = vec![0.0f64; rows * width];
-        for r in 0..rows {
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        let mut lo = 0;
+        for (r, &end) in block.local_ptr.iter().enumerate() {
+            let hi = end - block.local_base;
             for (k, j) in (lo..hi).enumerate() {
-                cols[k * rows + r] = all_cols[j];
-                vals[k * rows + r] = all_vals[j];
+                cols[k * rows + r] = block.local_cols[j];
+                vals[k * rows + r] = block.local_vals[j];
             }
+            lo = hi;
         }
         BlockEll { rows, width, cols, vals }
     }
@@ -494,7 +541,10 @@ impl BlockPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{laplacian_2d_5pt, random_diag_dominant};
+    use crate::gen::{
+        fv_stencil, laplacian_2d_5pt, laplacian_2d_5pt_stencil, laplacian_3d_7pt_stencil,
+        random_diag_dominant,
+    };
 
     #[test]
     fn splits_every_entry_exactly_once() {
@@ -644,20 +694,108 @@ mod tests {
 
     #[test]
     fn parallel_compile_is_bit_identical_to_sequential() {
-        let a = laplacian_2d_5pt(12);
-        let d = crate::stencil::StencilDescriptor::poisson_2d_5pt(12);
-        for block in [5usize, 12, 31, 144] {
-            let p = RowPartition::uniform(144, block).unwrap();
-            for desc in [None, Some(&d)] {
-                let seq =
-                    BlockPlan::compile_with_ctx(&a, &p, desc, ParContext::new(1)).unwrap();
-                for threads in [2usize, 3, 7, 16] {
-                    let par =
-                        BlockPlan::compile_with_ctx(&a, &p, desc, ParContext::new(threads))
-                            .unwrap();
-                    assert_eq!(seq, par, "block {block} threads {threads}");
+        // 2D 5-point, 3D 7-point and 2D 9-point stencils; block sizes that
+        // start blocks mid grid row and mid plane exercise the stepped
+        // grid coordinates and the bitmask-keyed stencil runs
+        let systems = [
+            laplacian_2d_5pt_stencil(12),
+            laplacian_3d_7pt_stencil(6),
+            fv_stencil(12, 1.0).unwrap(),
+        ];
+        for (a, d) in &systems {
+            let n = a.n_rows();
+            for block in [5usize, 12, 31, 50, n] {
+                let p = RowPartition::uniform(n, block).unwrap();
+                for desc in [None, Some(d)] {
+                    let seq = BlockPlan::compile_with_ctx(a, &p, desc, ParContext::new(1)).unwrap();
+                    for threads in [2usize, 3, 7, 16] {
+                        let par =
+                            BlockPlan::compile_with_ctx(a, &p, desc, ParContext::new(threads))
+                                .unwrap();
+                        assert_eq!(seq, par, "n {n} block {block} threads {threads}");
+                    }
                 }
             }
+        }
+    }
+
+    /// `a` with row `r`'s entries edited by `edit` (which sees the row's
+    /// `(column, value)` pairs and may drop, add or change them).
+    fn with_row(a: &CsrMatrix, r: usize, edit: impl Fn(&mut Vec<(usize, f64)>)) -> CsrMatrix {
+        let n = a.n_rows();
+        let mut coo = crate::CooMatrix::new(n, n);
+        for row in 0..n {
+            let mut entries: Vec<(usize, f64)> = a.row_iter(row).collect();
+            if row == r {
+                edit(&mut entries);
+            }
+            for (c, v) in entries {
+                coo.push(row, c, v).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// `a` with row `r`'s diagonal entry set to an explicitly stored zero
+    /// (COO assembly would drop it).
+    fn zero_diagonal(a: &CsrMatrix, r: usize) -> CsrMatrix {
+        let mut z = a.clone();
+        let k = z.row_ptr()[r] + z.row(r).0.iter().position(|&c| c == r).unwrap();
+        z.values_mut()[k] = 0.0;
+        z
+    }
+
+    #[test]
+    fn fused_stencil_check_reports_exactly_what_verify_reports() {
+        let (a, d) = fv_stencil(12, 1.0).unwrap();
+        let n = a.n_rows();
+        let p = RowPartition::uniform(n, 31).unwrap();
+        // a row in the first, a middle and the last block
+        for r in [3usize, n / 2 + 5, n - 2] {
+            let bump = |e: &mut Vec<(usize, f64)>| {
+                let v = &mut e.last_mut().unwrap().1;
+                *v = f64::from_bits(v.to_bits() + 1);
+            };
+            let drop_first = |e: &mut Vec<(usize, f64)>| {
+                e.remove(0);
+            };
+            let far = if r < n / 2 { n - 1 } else { 0 };
+            let extra = move |e: &mut Vec<(usize, f64)>| e.push((far, 0.5));
+            let bad: [(&str, CsrMatrix); 4] = [
+                ("one-ulp coefficient", with_row(&a, r, bump)),
+                ("missing entry", with_row(&a, r, drop_first)),
+                ("extra entry", with_row(&a, r, extra)),
+                ("zeroed centre", zero_diagonal(&a, r)),
+            ];
+            for (what, b) in &bad {
+                let want = d.verify(b).unwrap_err();
+                assert!(
+                    matches!(want, SparseError::Stencil(ref m) if m.starts_with(&format!("row {r}:"))),
+                    "{what} at row {r}: {want}"
+                );
+                for threads in [1usize, 2, 3, 7] {
+                    let got =
+                        BlockPlan::compile_with_ctx(b, &p, Some(&d), ParContext::new(threads))
+                            .unwrap_err();
+                    assert_eq!(got, want, "{what} at row {r}, threads {threads}");
+                }
+            }
+        }
+        // a zeroed centre at r1 and a wrong coefficient at r2 > r1: the
+        // error is the stencil error at r1, never ZeroDiagonal
+        let (r1, r2) = (40usize, n - 3);
+        let mut b = zero_diagonal(&a, r1);
+        let k2 = b.row_ptr()[r2];
+        b.values_mut()[k2] *= 2.0;
+        let want = d.verify(&b).unwrap_err();
+        assert!(matches!(want, SparseError::Stencil(ref m) if m.starts_with("row 40:")), "{want}");
+        for threads in [1usize, 2, 3, 7] {
+            assert_eq!(
+                BlockPlan::compile_with_ctx(&b, &p, Some(&d), ParContext::new(threads))
+                    .unwrap_err(),
+                want,
+                "threads {threads}"
+            );
         }
     }
 

@@ -103,23 +103,39 @@ impl ParContext {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if len == 0 {
-            return Vec::new();
-        }
+        self.map_each(vec![(); len], |i, ()| f(i))
+    }
+
+    /// [`map_indexed`](Self::map_indexed) over owned inputs: `f(i,
+    /// items[i])` for every `i`, results in index order. The inputs can
+    /// be disjoint `&mut` slices of one output array, which is how each
+    /// block of the plan compile writes its part in place. No thread is
+    /// spawned when `n_threads` is 1.
+    pub fn map_each<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(usize, I) -> T + Sync,
+    {
+        let len = items.len();
         let threads = self.n_threads.min(len);
         if threads <= 1 {
-            return (0..len).map(f).collect();
+            return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
         }
+        let mut inputs: Vec<Option<I>> = items.into_iter().map(Some).collect();
         let mut out: Vec<Option<T>> = Vec::new();
         out.resize_with(len, || None);
         let chunk = len.div_ceil(threads);
         let f = &f;
         std::thread::scope(|scope| {
-            for (t, slots) in out.chunks_mut(chunk).enumerate() {
+            for (t, (ins, slots)) in
+                inputs.chunks_mut(chunk).zip(out.chunks_mut(chunk)).enumerate()
+            {
                 let start = t * chunk;
                 scope.spawn(move || {
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(start + i));
+                    for (i, (item, slot)) in ins.iter_mut().zip(slots).enumerate() {
+                        let item = item.take().expect("every input taken once");
+                        *slot = Some(f(start + i, item));
                     }
                 });
             }
@@ -193,5 +209,20 @@ mod tests {
             assert_eq!(got, want, "threads {threads}");
         }
         assert!(ParContext::new(4).map_indexed(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn map_each_hands_every_item_to_its_index() {
+        for threads in [1usize, 2, 3, 7, 16] {
+            let mut out = vec![0usize; 37];
+            let slots: Vec<&mut usize> = out.iter_mut().collect();
+            let got = ParContext::new(threads).map_each(slots, |i, slot| {
+                *slot = i + 1;
+                i * i
+            });
+            let want: Vec<usize> = (0..37).map(|i| i * i).collect();
+            assert_eq!(got, want, "threads {threads}");
+            assert_eq!(out, (1..=37).collect::<Vec<_>>(), "threads {threads}");
+        }
     }
 }

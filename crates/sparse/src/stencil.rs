@@ -26,6 +26,10 @@
 
 use crate::{CsrMatrix, Result, SparseError};
 
+/// Most off-centre taps a descriptor may hold: each row's tap set is a
+/// `u64` bitmask.
+pub const MAX_TAPS: usize = 64;
+
 /// The regular grid a constant-coefficient stencil matrix discretises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridShape {
@@ -90,10 +94,14 @@ pub struct StencilDescriptor {
 impl StencilDescriptor {
     /// Builds a descriptor from a grid shape, centre coefficient, and
     /// off-centre taps. Taps are sorted by their signed row offset;
-    /// duplicate or zero offsets and a zero centre are rejected.
+    /// duplicate or zero offsets, a zero centre and more than
+    /// [`MAX_TAPS`] taps are rejected.
     pub fn new(shape: GridShape, center: f64, mut taps: Vec<StencilTap>) -> Result<Self> {
         if center == 0.0 {
             return Err(SparseError::Stencil("stencil centre must be nonzero".into()));
+        }
+        if taps.len() > MAX_TAPS {
+            return Err(SparseError::Stencil(format!("at most {MAX_TAPS} stencil taps")));
         }
         if let GridShape::Square2d { .. } = shape {
             if taps.iter().any(|t| t.dk != 0) {
@@ -184,33 +192,27 @@ impl StencilDescriptor {
         }
     }
 
-    /// Whether tap `t` exists at row `r` — every offset coordinate must
-    /// stay on the grid (no wrap-around across a grid edge).
-    fn tap_valid_at(&self, t: &StencilTap, r: usize) -> bool {
-        let on = |c: usize, d: i32, m: usize| {
-            let v = c as i64 + d as i64;
-            v >= 0 && v < m as i64
-        };
-        match self.shape {
-            GridShape::Square2d { m } => {
-                let (i, j) = (r / m, r % m);
-                on(i, t.di, m) && on(j, t.dj, m)
-            }
-            GridShape::Cube3d { m } => {
-                let (i, rem) = (r / (m * m), r % (m * m));
-                let (j, k) = (rem / m, rem % m);
-                on(i, t.di, m) && on(j, t.dj, m) && on(k, t.dk, m)
-            }
-        }
-    }
-
     /// Cross-checks the descriptor against an assembled matrix, entry by
     /// entry: every row must hold exactly the valid taps plus the centre,
     /// in sorted column order, with **bit-equal** coefficient values
     /// (bit-equality is what makes the matrix-free sweep's arithmetic
     /// reproduce the stored-matrix sweep; a hand-loaded matrix that
-    /// merely *approximates* the stencil must not opt in).
+    /// merely *approximates* the stencil must not opt in). The error names
+    /// the lowest failing row.
     pub fn verify(&self, a: &CsrMatrix) -> Result<()> {
+        self.check_shape(a)?;
+        let mut rows = RowCursor::new(self, 0);
+        for r in 0..self.n() {
+            let (cols, vals) = a.row(r);
+            rows.verify_row(cols, vals)?;
+            rows.advance();
+        }
+        Ok(())
+    }
+
+    /// The part of [`verify`](Self::verify) that looks at no entry: `a`
+    /// must be square with one row per grid node.
+    pub(crate) fn check_shape(&self, a: &CsrMatrix) -> Result<()> {
         let n = self.n();
         if !a.is_square() || a.n_rows() != n {
             return Err(SparseError::Stencil(format!(
@@ -218,42 +220,6 @@ impl StencilDescriptor {
                 a.n_rows(),
                 a.n_cols()
             )));
-        }
-        let mismatch = |r: usize, why: String| Err(SparseError::Stencil(format!("row {r}: {why}")));
-        for r in 0..n {
-            let (cols, vals) = a.row(r);
-            let mut k = 0usize;
-            let check = |col: usize, coef: f64, k: &mut usize| -> Result<()> {
-                if *k >= cols.len() || cols[*k] != col {
-                    return mismatch(r, format!("expected an entry at column {col}"));
-                }
-                if vals[*k].to_bits() != coef.to_bits() {
-                    return mismatch(
-                        r,
-                        format!("column {col} holds {} instead of {coef}", vals[*k]),
-                    );
-                }
-                *k += 1;
-                Ok(())
-            };
-            let mut center_done = false;
-            for t in &self.taps {
-                if !self.tap_valid_at(t, r) {
-                    continue;
-                }
-                let off = self.row_offset(t);
-                if !center_done && off > 0 {
-                    check(r, self.center, &mut k)?;
-                    center_done = true;
-                }
-                check((r as i64 + off) as usize, t.coef, &mut k)?;
-            }
-            if !center_done {
-                check(r, self.center, &mut k)?;
-            }
-            if k != cols.len() {
-                return mismatch(r, format!("{} extra stored entries", cols.len() - k));
-            }
         }
         Ok(())
     }
@@ -263,30 +229,238 @@ impl StencilDescriptor {
     /// in-block tap set. Off-block taps are excluded (the kernel freezes
     /// them through the packed halo); tap offsets become block-local.
     pub fn compile_block(&self, start: usize, end: usize) -> StencilBlock {
-        let mut runs: Vec<StencilRun> = Vec::new();
-        let mut taps_here: Vec<(isize, f64)> = Vec::new();
-        for r in start..end {
-            taps_here.clear();
-            for t in &self.taps {
-                if !self.tap_valid_at(t, r) {
-                    continue;
-                }
-                let off = self.row_offset(t);
-                let c = r as i64 + off;
-                if c >= start as i64 && c < end as i64 {
-                    taps_here.push((off as isize, t.coef));
-                }
+        let mut rows = RowCursor::new(self, start);
+        let mut runs = RunBuilder::new(start, end, self.taps.len());
+        for _ in start..end {
+            runs.push(&rows);
+            rows.advance();
+        }
+        runs.finish()
+    }
+}
+
+/// Why one row failed [`StencilDescriptor::verify`] — built without
+/// formatting, so a passing row costs no allocation; only a failing row
+/// renders it into the error message.
+#[derive(Debug)]
+enum RowFault {
+    Missing { col: usize },
+    Value { col: usize, found: f64, coef: f64 },
+    Extra { count: usize },
+}
+
+impl std::fmt::Display for RowFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            RowFault::Missing { col } => write!(f, "expected an entry at column {col}"),
+            RowFault::Value { col, found, coef } => {
+                write!(f, "column {col} holds {found} instead of {coef}")
             }
-            match runs.last_mut() {
-                Some(run) if run.taps == taps_here => run.hi += 1,
-                _ => runs.push(StencilRun {
-                    lo: (r - start) as u32,
-                    hi: (r - start + 1) as u32,
-                    taps: taps_here.clone(),
-                }),
+            RowFault::Extra { count } => write!(f, "{count} extra stored entries"),
+        }
+    }
+}
+
+/// Walks consecutive rows of a descriptor's grid. The grid coordinates
+/// are derived by division once, where the walk starts, and then stepped
+/// with carries. A row's valid taps are a bitmask (bit `t` = tap `t` of
+/// [`StencilDescriptor::taps`] stays on the grid at this row): the AND of
+/// one cached mask per axis, of which a step recomputes only the axes
+/// that moved.
+pub(crate) struct RowCursor<'d> {
+    d: &'d StencilDescriptor,
+    /// Per tap, in tap order (ascending): signed row offset and the
+    /// coefficient's bits.
+    taps: Vec<(isize, u64)>,
+    /// The taps with a negative offset: the centre sits between them and
+    /// the rest in column order.
+    before_centre: u64,
+    m: usize,
+    /// The axis that moves fastest with the row index: 1 on 2D grids,
+    /// 2 on 3D grids (on 2D grids axis 2 stays 0, as every `dk` does).
+    fast: usize,
+    /// Grid coordinates `[i, j, k]` of row `r`.
+    pos: [usize; 3],
+    /// Per axis: the taps that stay on the grid along it at `pos`.
+    on_axis: [u64; 3],
+    r: usize,
+    /// The entries a row with valid-tap mask `expected_for` must hold:
+    /// `(row offset, coefficient bits)` of its valid taps and the
+    /// centre, in column order. Rebuilt only when the mask changes, which
+    /// happens at grid edges.
+    expected: Vec<(isize, u64)>,
+    expected_for: Option<u64>,
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let t = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            t
+        })
+    })
+}
+
+/// A mask of the `n` lowest bits.
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+impl<'d> RowCursor<'d> {
+    /// A cursor at row `r`.
+    pub(crate) fn new(d: &'d StencilDescriptor, r: usize) -> Self {
+        let taps: Vec<(isize, u64)> =
+            d.taps.iter().map(|t| (d.row_offset(t) as isize, t.coef.to_bits())).collect();
+        let before_centre = low_bits(taps.partition_point(|&(off, _)| off < 0));
+        let (m, fast, pos) = match d.shape {
+            GridShape::Square2d { m } => (m, 1, [r / m.max(1), r % m.max(1), 0]),
+            GridShape::Cube3d { m } => {
+                let plane = (m * m).max(1);
+                let rem = r % plane;
+                (m, 2, [r / plane, rem / m.max(1), rem % m.max(1)])
+            }
+        };
+        let mut cursor = RowCursor {
+            d,
+            taps,
+            before_centre,
+            m,
+            fast,
+            pos,
+            on_axis: [0; 3],
+            r,
+            expected: Vec::new(),
+            expected_for: None,
+        };
+        for axis in 0..3 {
+            cursor.on_axis[axis] = cursor.axis_mask(axis);
+        }
+        cursor
+    }
+
+    /// The taps that stay on the grid along `axis` at the current
+    /// position. `p + d` below zero wraps to a huge `usize`, so one
+    /// unsigned compare covers both grid edges.
+    fn axis_mask(&self, axis: usize) -> u64 {
+        let p = self.pos[axis];
+        let mut mask = 0u64;
+        for (t, tap) in self.d.taps.iter().enumerate() {
+            let d = [tap.di, tap.dj, tap.dk][axis];
+            if p.wrapping_add(d as isize as usize) < self.m {
+                mask |= 1 << t;
             }
         }
-        StencilBlock { runs }
+        mask
+    }
+
+    /// The current row's valid taps.
+    fn valid(&self) -> u64 {
+        self.on_axis[0] & self.on_axis[1] & self.on_axis[2]
+    }
+
+    /// Moves to the next row.
+    pub(crate) fn advance(&mut self) {
+        self.r += 1;
+        let mut axis = self.fast;
+        self.pos[axis] += 1;
+        while axis > 0 && self.pos[axis] == self.m {
+            self.pos[axis] = 0;
+            self.on_axis[axis] = self.axis_mask(axis);
+            axis -= 1;
+            self.pos[axis] += 1;
+        }
+        self.on_axis[axis] = self.axis_mask(axis);
+    }
+
+    /// Checks the current row's stored entries against the stencil: the
+    /// valid taps and the centre, in column order, bit-equal. The one row
+    /// check behind both [`StencilDescriptor::verify`] and the fused
+    /// verification of [`crate::BlockPlan`]'s compile.
+    pub(crate) fn verify_row(&mut self, cols: &[usize], vals: &[f64]) -> Result<()> {
+        let valid = self.valid();
+        if self.expected_for != Some(valid) {
+            let tap = |t: usize| self.taps[t];
+            let before = bits(valid & self.before_centre).map(tap);
+            let after = bits(valid & !self.before_centre).map(tap);
+            let centre = std::iter::once((0, self.d.center.to_bits()));
+            self.expected = before.chain(centre).chain(after).collect();
+            self.expected_for = Some(valid);
+        }
+        self.row_fault(cols, vals)
+            .map_err(|why| SparseError::Stencil(format!("row {}: {why}", self.r)))
+    }
+
+    /// The first disagreement between the row and its expected entries,
+    /// walked in column order.
+    fn row_fault(&self, cols: &[usize], vals: &[f64]) -> std::result::Result<(), RowFault> {
+        for (k, &(off, coef)) in self.expected.iter().enumerate() {
+            let col = self.r.wrapping_add_signed(off);
+            if k >= cols.len() || cols[k] != col {
+                return Err(RowFault::Missing { col });
+            }
+            if vals[k].to_bits() != coef {
+                return Err(RowFault::Value { col, found: vals[k], coef: f64::from_bits(coef) });
+            }
+        }
+        match cols.len() - self.expected.len() {
+            0 => Ok(()),
+            count => Err(RowFault::Extra { count }),
+        }
+    }
+}
+
+/// Accumulates one block's [`StencilRun`]s row by row. Runs are keyed on
+/// the in-block tap mask; a run's tap list is built only when it starts.
+pub(crate) struct RunBuilder {
+    start: usize,
+    end: usize,
+    /// At the last pushed row, taps `first..last` land inside the block.
+    /// Taps are sorted by offset, so they are one range of tap indices,
+    /// and both ends only move down as the row index grows.
+    first: usize,
+    last: usize,
+    runs: Vec<StencilRun>,
+    mask: u64,
+}
+
+impl RunBuilder {
+    /// A builder for block `[start, end)` of a descriptor with `n_taps`
+    /// taps.
+    pub(crate) fn new(start: usize, end: usize, n_taps: usize) -> Self {
+        RunBuilder { start, end, first: n_taps, last: n_taps, runs: Vec::new(), mask: 0 }
+    }
+
+    /// Appends the cursor's current row, which must follow the last
+    /// pushed one (or be `start`).
+    pub(crate) fn push(&mut self, rows: &RowCursor<'_>) {
+        let lands_at_or_past =
+            |t: usize, bound: usize| rows.r as isize + rows.taps[t].0 >= bound as isize;
+        while self.first > 0 && lands_at_or_past(self.first - 1, self.start) {
+            self.first -= 1;
+        }
+        while self.last > 0 && lands_at_or_past(self.last - 1, self.end) {
+            self.last -= 1;
+        }
+        let mask = rows.valid() & low_bits(self.last) & !low_bits(self.first);
+        let li = (rows.r - self.start) as u32;
+        match self.runs.last_mut() {
+            Some(run) if self.mask == mask => run.hi = li + 1,
+            _ => {
+                let taps = bits(mask).map(|t| (rows.taps[t].0, rows.d.taps[t].coef)).collect();
+                self.runs.push(StencilRun { lo: li, hi: li + 1, taps });
+                self.mask = mask;
+            }
+        }
+    }
+
+    pub(crate) fn finish(self) -> StencilBlock {
+        StencilBlock { runs: self.runs }
     }
 }
 
@@ -405,22 +579,33 @@ mod tests {
 
     #[test]
     fn in_block_taps_match_the_local_operator() {
-        // cross-check run taps against the BlockPlan's packed local rows
-        let a = laplacian_2d_5pt(6);
-        let d = StencilDescriptor::poisson_2d_5pt(6);
-        d.verify(&a).unwrap();
-        let p = crate::RowPartition::uniform(36, 10).unwrap();
-        let plan = crate::BlockPlan::compile(&a, &p).unwrap();
-        for b in 0..plan.n_blocks() {
-            let (s, e) = plan.block_rows(b);
-            let sb = d.compile_block(s, e);
-            for run in sb.runs() {
-                for li in run.lo..run.hi {
-                    let (lc, lv) = plan.local_row(s + li as usize);
-                    assert_eq!(lc.len(), run.taps.len(), "row {}", s + li as usize);
-                    for (k, &(off, coef)) in run.taps.iter().enumerate() {
-                        assert_eq!(lc[k] as isize, li as isize + off);
-                        assert_eq!(lv[k].to_bits(), coef.to_bits());
+        // cross-check run taps against the BlockPlan's packed local rows,
+        // on 2D 5-point, 3D 7-point and 2D 9-point stencils, with blocks
+        // that start mid grid row and mid plane
+        let systems = [
+            crate::gen::laplacian_2d_5pt_stencil(6),
+            crate::gen::laplacian_3d_7pt_stencil(6),
+            crate::gen::fv_stencil(12, 1.0).unwrap(),
+        ];
+        for (a, d) in &systems {
+            d.verify(a).unwrap();
+            let n = a.n_rows();
+            for block in [5usize, 10, 31, 50] {
+                let p = crate::RowPartition::uniform(n, block).unwrap();
+                let plan = crate::BlockPlan::compile(a, &p).unwrap();
+                for b in 0..plan.n_blocks() {
+                    let (s, e) = plan.block_rows(b);
+                    let sb = d.compile_block(s, e);
+                    for run in sb.runs() {
+                        for li in run.lo..run.hi {
+                            let r = s + li as usize;
+                            let (lc, lv) = plan.local_row(r);
+                            assert_eq!(lc.len(), run.taps.len(), "n {n} block {block} row {r}");
+                            for (k, &(off, coef)) in run.taps.iter().enumerate() {
+                                assert_eq!(lc[k] as isize, li as isize + off, "row {r}");
+                                assert_eq!(lv[k].to_bits(), coef.to_bits(), "row {r}");
+                            }
+                        }
                     }
                 }
             }
