@@ -1,13 +1,10 @@
-//! Krylov solvers and preconditioners: wall cost of a fixed-tolerance
-//! solve on the Poisson model problem, by method and preconditioner.
+//! Krylov baselines: wall cost of a fixed-tolerance PCG or Chebyshev
+//! solve on the Poisson model problem, by preconditioner.
 
 use crate::bench_system;
-use abr_core::bicgstab::bicgstab;
 use abr_core::chebyshev::auto_chebyshev;
-use abr_core::ilu::Ilu0;
 use abr_core::pcg::{pcg, BlockJacobiPreconditioner, IdentityPreconditioner, JacobiPreconditioner};
 use abr_core::SolveOptions;
-use abr_sparse::gen::convection_diffusion_2d;
 use abr_sparse::RowPartition;
 use criterion::{black_box, Criterion};
 
@@ -29,39 +26,6 @@ pub fn bench_pcg_preconditioners(c: &mut Criterion) {
         let p = BlockJacobiPreconditioner::new(&a, &part).expect("blocks");
         bch.iter(|| black_box(pcg(&a, &b, &x0, &p, &opts).expect("solve")))
     });
-    group.bench_function("ilu0", |bch| {
-        let p = Ilu0::new(&a).expect("factorise");
-        bch.iter(|| black_box(pcg(&a, &b, &x0, &p, &opts).expect("solve")))
-    });
-    group.finish();
-}
-
-/// ILU(0) factorisation alone.
-pub fn bench_ilu_factorisation(c: &mut Criterion) {
-    let (a, _, _) = bench_system(40);
-    c.bench_function("ilu0_factorise_1600", |bch| {
-        bch.iter(|| black_box(Ilu0::new(&a).expect("factorise")))
-    });
-}
-
-/// BiCGSTAB on a nonsymmetric convection-diffusion system.
-pub fn bench_nonsymmetric(c: &mut Criterion) {
-    let a = convection_diffusion_2d(32, 0.05, 1.0, 0.3);
-    let n = a.n_rows();
-    let b = a.mul_vec(&vec![1.0; n]).expect("square");
-    let x0 = vec![0.0; n];
-    let opts = SolveOptions::to_tolerance(1e-8, 5_000);
-    let mut group = c.benchmark_group("nonsymmetric_to_1e-8");
-    group.sample_size(20);
-    group.bench_function("bicgstab_plain", |bch| {
-        bch.iter(|| {
-            black_box(bicgstab(&a, &b, &x0, &IdentityPreconditioner, &opts).expect("solve"))
-        })
-    });
-    group.bench_function("bicgstab_ilu0", |bch| {
-        let p = Ilu0::new(&a).expect("factorise");
-        bch.iter(|| black_box(bicgstab(&a, &b, &x0, &p, &opts).expect("solve")))
-    });
     group.finish();
 }
 
@@ -77,7 +41,5 @@ pub fn bench_chebyshev(c: &mut Criterion) {
 /// The whole suite.
 pub fn all(c: &mut Criterion) {
     bench_pcg_preconditioners(c);
-    bench_ilu_factorisation(c);
-    bench_nonsymmetric(c);
     bench_chebyshev(c);
 }

@@ -2,7 +2,7 @@
 //! (the real-hardware analog of the paper's Table 5 comparison).
 
 use crate::{bench_partition, bench_system};
-use abr_core::{gauss_seidel, jacobi, sor, AsyncBlockSolver, SolveOptions};
+use abr_core::{gauss_seidel, jacobi, AsyncBlockSolver, SolveOptions};
 use criterion::{black_box, BenchmarkId, Criterion};
 
 fn one_iteration_opts() -> SolveOptions {
@@ -20,9 +20,6 @@ pub fn bench_methods(c: &mut Criterion) {
     });
     group.bench_function("gauss_seidel", |bch| {
         bch.iter(|| black_box(gauss_seidel(&a, &b, &x0, &opts).expect("solve")))
-    });
-    group.bench_function("sor_1.5", |bch| {
-        bch.iter(|| black_box(sor(&a, &b, &x0, 1.5, &opts).expect("solve")))
     });
     for k in [1usize, 5] {
         let p = bench_partition(a.n_rows(), 120);

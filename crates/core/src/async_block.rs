@@ -259,6 +259,7 @@ impl AsyncBlockSolver {
         let mut iterations = 0usize;
         let mut converged = false;
         let mut rbuf: Vec<f64> = Vec::new();
+        let mut last_check: Option<f64> = None;
 
         // Chunked driving: the executor runs `chunk` asynchronous global
         // rounds at a time; between chunks the *driver* (host) checks
@@ -282,6 +283,7 @@ impl AsyncBlockSolver {
             iterations += rounds;
             if opts.tol > 0.0 {
                 let rr = relative_residual_with(&mut rbuf, a, rhs, &x);
+                last_check = Some(rr);
                 if rr <= opts.tol {
                     converged = true;
                 } else if !rr.is_finite() {
@@ -290,7 +292,10 @@ impl AsyncBlockSolver {
             }
         }
 
-        let final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
+        // Every chunk ends in a check when tol > 0, so the last one
+        // already measured this `x`; only a run with no check measures it.
+        let final_residual =
+            last_check.unwrap_or_else(|| relative_residual_with(&mut rbuf, a, rhs, &x));
         if opts.tol > 0.0 && final_residual <= opts.tol {
             converged = true;
         }

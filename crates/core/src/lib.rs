@@ -6,9 +6,9 @@
 //! `A x = b`, synchronous and (block-)asynchronous.
 //!
 //! * Synchronous baselines: [`jacobi()`], [`gauss_seidel()`] (plus
-//!   backward/symmetric/red-black/multi-colour variants), [`sor()`],
+//!   backward/symmetric/red-black/multi-colour variants),
 //!   barrier-synchronised [`block_jacobi()`], and the Krylov baselines
-//!   [`cg`], [`pcg()`], [`gmres()`], [`bicgstab()`], [`chebyshev`].
+//!   [`cg`], [`pcg()`] and [`chebyshev`].
 //! * The abstract chaotic iteration of Chazan–Miranker with pluggable
 //!   update and shift functions: [`chazan`] — used to property-test the
 //!   `rho(|B|) < 1` convergence theorem the paper relies on.
@@ -21,7 +21,6 @@
 //!   as [`smoother`]s inside an aggregation-based [`multigrid`].
 
 pub mod async_block;
-pub mod bicgstab;
 pub mod block_jacobi;
 pub mod cg;
 pub mod chazan;
@@ -29,24 +28,19 @@ pub mod chebyshev;
 pub mod convergence;
 pub mod fingerprint;
 pub mod gauss_seidel;
-pub mod gmres;
 pub mod jacobi;
-pub mod ilu;
 pub mod multigrid;
 pub mod pcg;
 pub mod scaled;
 pub mod smoother;
-pub mod sor;
 
 pub use async_block::{
     AsyncBlockSolver, ExecutorKind, FaultedSolve, LeasedRun, LocalSweep, ResidualMonitor,
     ScheduleKind, FUSED_FORCE_EXACT_EVERY, FUSED_GUARD_BAND, URGENT_BAND,
 };
 pub use fingerprint::{fingerprint_matrix, fingerprint_vec, Fnv1a};
-pub use bicgstab::bicgstab;
 pub use block_jacobi::block_jacobi;
 pub use cg::conjugate_gradient;
-pub use gmres::gmres;
 pub use pcg::pcg;
 pub use convergence::{SolveOptions, SolveResult};
 pub use gauss_seidel::{
@@ -54,4 +48,3 @@ pub use gauss_seidel::{
     gauss_seidel_symmetric,
 };
 pub use jacobi::jacobi;
-pub use sor::sor;

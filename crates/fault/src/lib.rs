@@ -2,9 +2,8 @@
 
 //! # abr-fault
 //!
-//! Fault injection, recovery, and silent-error detection for the
-//! block-asynchronous relaxation method — the §4.5 experiments of the
-//! paper.
+//! Fault injection and recovery for the block-asynchronous relaxation
+//! method — the §4.5 experiments of the paper.
 //!
 //! The failure scenario modelled is the paper's: on a many-core system a
 //! set of cores dies at global iteration `t0`, so the components they own
@@ -16,8 +15,9 @@
 //! (Figure 10 / Table 6), while the non-recovering runs stagnate at a
 //! residual plateau determined by the frozen components.
 //!
-//! [`silent`] additionally models *silent* (undetected) data corruption
-//! and the convergence-delay detector the paper sketches.
+//! [`checkpoint`] prices the exascale argument: a checkpointed
+//! synchronous solver against the checkpoint-free asynchronous one under
+//! the same failure process.
 //!
 //! Two realisations of the same scenario live in the workspace. The
 //! [`inject`] types here are the *analytic* model: an
@@ -33,11 +33,7 @@
 //! and DESIGN.md §8).
 
 pub mod checkpoint;
-pub mod detect;
 pub mod inject;
-pub mod silent;
 
 pub use checkpoint::{checkpoint_free_async, checkpointed_jacobi, CheckpointPolicy};
-pub use detect::ConvergenceMonitor;
 pub use inject::{ComponentFailure, FailureScenario};
-pub use silent::run_with_silent_error;

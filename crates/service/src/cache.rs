@@ -25,8 +25,9 @@
 use crate::wire::Mode;
 use abr_core::Fnv1a;
 use abr_gpu::{CancelCause, CancelToken};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The cached outcome of one converged solve.
@@ -192,7 +193,7 @@ impl SolveCache {
 
     /// Number of completed entries (tests/metrics).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().lru.len()
+        self.inner.lock().lru.len()
     }
 
     /// Whether the cache holds no completed entries.
@@ -202,18 +203,18 @@ impl SolveCache {
 
     /// Bytes held by completed entries.
     pub fn bytes(&self) -> usize {
-        self.inner.lock().unwrap().bytes
+        self.inner.lock().bytes
     }
 
     /// Results dropped to hold the bounds, including those too large to
     /// keep at all.
     pub fn evicted(&self) -> u64 {
-        self.inner.lock().unwrap().evicted
+        self.inner.lock().evicted
     }
 
     /// Resolves a key: immediate hit, wait-and-coalesce, or leadership.
     pub fn begin(&self, key: u64, cancel: Option<&CancelToken>) -> Begin<'_> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         let mut waiting_on: Option<Arc<Flight>> = None;
         loop {
             if let Some(r) = waiting_on.as_ref().and_then(|f| f.result.get()) {
@@ -242,7 +243,7 @@ impl SolveCache {
                     let (guard, _timeout) = self
                         .ready
                         .wait_timeout(inner, Duration::from_millis(20))
-                        .unwrap();
+                        .unwrap_or_else(PoisonError::into_inner);
                     inner = guard;
                 }
             }
@@ -266,7 +267,7 @@ impl LeadGuard<'_> {
     pub fn publish(mut self, result: CachedSolve) {
         let result = Arc::new(result);
         let _ = self.flight.result.set(Arc::clone(&result));
-        let mut inner = self.cache.inner.lock().unwrap();
+        let mut inner = self.cache.inner.lock();
         inner.admit(self.key, result, self.cache.budget);
         self.published = true;
         drop(inner);
@@ -279,7 +280,7 @@ impl Drop for LeadGuard<'_> {
         if self.published {
             return;
         }
-        let mut inner = self.cache.inner.lock().unwrap();
+        let mut inner = self.cache.inner.lock();
         inner.slots.remove(&self.key);
         drop(inner);
         self.cache.ready.notify_all();

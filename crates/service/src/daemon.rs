@@ -44,12 +44,13 @@ use abr_gpu::{
 };
 use abr_sparse::{gen, CsrMatrix, RowPartition};
 use abr_sync::{Ordering, SyncBool};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -236,7 +237,7 @@ impl Daemon {
     /// Connection-thread handles the daemon still holds: its open
     /// connections, plus finished ones not yet reaped by the next accept.
     pub fn live_connection_handles(&self) -> usize {
-        self.shared.conns.lock().unwrap().live.len()
+        self.shared.conns.lock().live.len()
     }
 
     /// Stops accepting new connections (idempotent; does not join).
@@ -253,24 +254,24 @@ impl Daemon {
         if let Some(h) = self.accept.take() {
             h.join().expect("accept loop must not panic");
         }
-        let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
+        let conns = std::mem::take(&mut *self.shared.conns.lock());
         // Grace window: wait for the cancel registry (live solves) to
         // empty on its own before forcing the stragglers out.
         let t0 = Instant::now();
         while t0.elapsed() < grace {
-            if self.shared.registry.lock().unwrap().is_empty() {
+            if self.shared.registry.lock().is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        for token in self.shared.registry.lock().unwrap().values() {
+        for token in self.shared.registry.lock().values() {
             token.cancel();
         }
         let connections_joined = conns.joined + conns.live.len();
         for c in conns.live {
             let _ = c.join(); // a panicked conn thread already sent Failed
         }
-        self.shared.metrics.lock().unwrap().flush();
+        self.shared.metrics.lock().flush();
         let workers_joined = self.shared.pool.drain();
         DrainReport {
             workers_joined,
@@ -295,22 +296,22 @@ impl Shared {
     }
 
     fn retry_hint_ms(&self) -> u64 {
-        (self.ewma_ms.lock().unwrap().max(10.0)) as u64
+        (self.ewma_ms.lock().max(10.0)) as u64
     }
 
     fn observe_solve_ms(&self, ms: f64) {
-        let mut e = self.ewma_ms.lock().unwrap();
+        let mut e = self.ewma_ms.lock();
         *e = 0.7 * *e + 0.3 * ms;
     }
 
     fn counters(&self) -> ServiceCounters {
-        let mut c = self.counters.lock().unwrap().clone();
+        let mut c = self.counters.lock().clone();
         c.evicted = self.cache.evicted();
         c
     }
 
     fn count(&self, f: impl FnOnce(&mut ServiceCounters)) {
-        f(&mut self.counters.lock().unwrap());
+        f(&mut self.counters.lock());
     }
 
     /// Samples a per-request fault plan from the chaos config. Worker 0
@@ -319,7 +320,7 @@ impl Shared {
     fn sample_chaos(&self, workers: usize) -> Option<FaultPlan> {
         let chaos = self.cfg.chaos.as_ref()?;
         let stream = {
-            let mut ctr = self.chaos_counter.lock().unwrap();
+            let mut ctr = self.chaos_counter.lock();
             *ctr += 1;
             *ctr
         };
@@ -374,14 +375,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutting_down() {
             break;
         }
-        shared.conns.lock().unwrap().reap();
+        shared.conns.lock().reap();
         let Ok(stream) = stream else { continue };
         let conn_shared = Arc::clone(&shared);
         match std::thread::Builder::new()
             .name("abr-conn".into())
             .spawn(move || handle_conn(stream, &conn_shared))
         {
-            Ok(h) => shared.conns.lock().unwrap().live.push(h),
+            Ok(h) => shared.conns.lock().live.push(h),
             Err(e) => eprintln!("abr-serve: could not spawn connection thread: {e}"),
         }
     }
@@ -449,7 +450,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
                 return;
             }
             Ok(Request::Cancel { id }) => {
-                if let Some(token) = shared.registry.lock().unwrap().get(&id) {
+                if let Some(token) = shared.registry.lock().get(&id) {
                     token.cancel();
                 }
                 Response::Ok
@@ -492,7 +493,7 @@ struct AdmissionSlot<'a>(&'a Shared);
 
 impl Drop for AdmissionSlot<'_> {
     fn drop(&mut self) {
-        *self.0.inflight.lock().unwrap() -= 1;
+        *self.0.inflight.lock() -= 1;
     }
 }
 
@@ -501,7 +502,7 @@ struct Registered<'a>(&'a Shared, u64);
 
 impl Drop for Registered<'_> {
     fn drop(&mut self) {
-        self.0.registry.lock().unwrap().remove(&self.1);
+        self.0.registry.lock().remove(&self.1);
     }
 }
 
@@ -569,7 +570,7 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
 
     // -- Admission (bounded; shed with a retry hint) ---------------------
     let _slot = {
-        let mut inflight = shared.inflight.lock().unwrap();
+        let mut inflight = shared.inflight.lock();
         if *inflight >= shared.cfg.max_inflight {
             drop(inflight);
             shared.count(|c| c.shed += 1);
@@ -585,7 +586,7 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
         Some(ms) => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
         None => CancelToken::new(),
     });
-    shared.registry.lock().unwrap().insert(id, Arc::clone(&token));
+    shared.registry.lock().insert(id, Arc::clone(&token));
     let _registered = Registered(shared, id);
 
     // -- Chaos + cache resolution ---------------------------------------
@@ -842,7 +843,29 @@ fn record_metrics(
         fault,
         ..RunMetrics::default()
     };
-    let mut sink = shared.metrics.lock().unwrap();
+    let mut sink = shared.metrics.lock();
     sink.record(&record);
     sink.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, Response, SolveSpec};
+
+    #[test]
+    fn a_panic_under_the_counters_lock_does_not_fail_later_requests() {
+        let daemon = Daemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() }).unwrap();
+        let shared = Arc::clone(&daemon.shared);
+        let holder = std::thread::spawn(move || {
+            shared.count(|_| panic!("panic while holding the counters lock"))
+        });
+        assert!(holder.join().is_err(), "the holder thread must have panicked");
+
+        let reply = Client::new(daemon.addr()).solve_once(&SolveSpec::lap2d(1, 8)).unwrap();
+        assert!(matches!(reply, Response::Done { converged: true, .. }), "got {reply:?}");
+        let report = daemon.shutdown(Duration::from_secs(5));
+        assert_eq!(report.counters.completed, 1);
+        assert_eq!(report.counters.failed, 0);
+    }
 }

@@ -92,8 +92,7 @@ pub fn laplacian_2d_9pt(m: usize) -> CsrMatrix {
 /// `-eps * Laplacian + (wx, wy) . grad` with first-order upwinding —
 /// the standard *nonsymmetric* model problem. Diagonally dominant for
 /// every `eps > 0` and wind `(wx, wy)`, so the asynchronous convergence
-/// condition `rho(|B|) < 1` holds and the chaotic solvers apply; the
-/// Krylov baseline for it is BiCGstab rather than CG.
+/// condition `rho(|B|) < 1` holds and the chaotic solvers apply.
 pub fn convection_diffusion_2d(m: usize, eps: f64, wx: f64, wy: f64) -> CsrMatrix {
     assert!(eps > 0.0, "diffusion must be positive");
     let n = m * m;

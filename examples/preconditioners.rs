@@ -1,14 +1,12 @@
-//! The §5 preconditioning outlook, live: Krylov methods with the
-//! relaxation-derived preconditioners this workspace provides, on an SPD
-//! Poisson system and a nonsymmetric convection-diffusion system.
+//! The §5 preconditioning outlook, live: CG with the relaxation-derived
+//! preconditioners this workspace provides on an SPD Poisson system, and
+//! async-(5) on a nonsymmetric convection-diffusion system.
 //!
 //! ```text
 //! cargo run --release --example preconditioners
 //! ```
 
-use block_async_relax::core::bicgstab::bicgstab;
 use block_async_relax::core::chebyshev::auto_chebyshev;
-use block_async_relax::core::ilu::Ilu0;
 use block_async_relax::core::pcg::{
     pcg, BlockJacobiPreconditioner, IdentityPreconditioner, JacobiPreconditioner,
 };
@@ -39,30 +37,21 @@ fn main() {
     )
     .expect("solve");
     println!("  block-Jacobi  : {:>4}   (the async-(k) subdomains, reused)", blk.iterations);
-    let ilu = pcg(&a, &b, &x0, &Ilu0::new(&a).expect("factorise"), &opts).expect("solve");
-    println!("  ILU(0)        : {:>4}", ilu.iterations);
     let (cheb, bounds) = auto_chebyshev(&a, &b, &x0, &opts).expect("solve");
     println!(
         "  (Chebyshev)   : {:>4}   reduction-free, bounds [{:.4}, {:.4}]",
         cheb.iterations, bounds.0, bounds.1
     );
     assert!(blk.iterations <= jac.iterations);
-    assert!(ilu.iterations <= blk.iterations);
 
     // --- Nonsymmetric: convection-diffusion with a strong wind ---
     let a = gen::convection_diffusion_2d(48, 0.02, 1.0, 0.4);
     let n = a.n_rows();
     let b = a.mul_vec(&vec![1.0; n]).expect("square");
     let x0 = vec![0.0; n];
-    println!("\nconvection-diffusion (n = {n}, nonsymmetric), BiCGstab iterations:");
-    let plain = bicgstab(&a, &b, &x0, &IdentityPreconditioner, &opts).expect("solve");
-    println!("  none          : {:>4}", plain.iterations);
-    let ilu = bicgstab(&a, &b, &x0, &Ilu0::new(&a).expect("factorise"), &opts).expect("solve");
-    println!("  ILU(0)        : {:>4}", ilu.iterations);
-    assert!(plain.converged && ilu.converged);
-
-    // ... and the asynchronous method handles it too (rho(|B|) < 1 by
-    // diagonal dominance), no Krylov machinery required:
+    println!("\nconvection-diffusion (n = {n}, nonsymmetric):");
+    // The asynchronous method converges here (rho(|B|) < 1 by diagonal
+    // dominance), no Krylov machinery required:
     let p = RowPartition::uniform(n, 96).expect("partition");
     let r = AsyncBlockSolver::async_k(5).solve(&a, &b, &x0, &p, &opts).expect("solve");
     println!(

@@ -11,11 +11,11 @@
 //! * [`sparse`] — sparse linear algebra, test-matrix generators, spectra;
 //! * [`gpu`] — the GPU execution substrate (discrete-event simulator,
 //!   real-threads executor, calibrated timing model, multi-GPU topology);
-//! * [`core`] — the solvers: Jacobi, Gauss-Seidel, SOR, CG, the abstract
+//! * [`core`] — the solvers: Jacobi, Gauss-Seidel, CG, PCG, the abstract
 //!   Chazan–Miranker chaotic iteration, and the paper's **async-(k)**
 //!   block-asynchronous method, plus multigrid-smoother extensions;
 //! * [`multigpu`] — the AMC/DC/DK multi-device communication schemes;
-//! * [`fault`] — failure injection, recovery, silent-error detection;
+//! * [`fault`] — failure injection, recovery-(t_r), checkpoint economics;
 //! * [`exp`] — the experiment harness regenerating every table and figure
 //!   of the paper (see the `repro` binary);
 //! * [`sync`] — the audited atomics facade every executor's shared-memory
@@ -56,8 +56,8 @@ pub use abr_sync as sync;
 /// The most common imports in one place.
 pub mod prelude {
     pub use abr_core::{
-        bicgstab, block_jacobi, conjugate_gradient, gauss_seidel, gmres, jacobi, pcg, sor,
-        AsyncBlockSolver, ExecutorKind, LocalSweep, ScheduleKind, SolveOptions, SolveResult,
+        block_jacobi, conjugate_gradient, gauss_seidel, jacobi, pcg, AsyncBlockSolver,
+        ExecutorKind, LocalSweep, ScheduleKind, SolveOptions, SolveResult,
     };
     pub use abr_gpu::{SimOptions, ThreadedOptions, TimingModel, Topology};
     pub use abr_multigpu::{CommStrategy, MultiGpuSolver};

@@ -30,6 +30,15 @@ fn rel_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
     (num / den).sqrt()
 }
 
+/// What a "did not converge" failure needs to name its cause: a stall,
+/// a spent budget (`iterations == max_iters`) or the monitor.
+fn run_summary(r: &block_async_relax::core::SolveResult) -> String {
+    format!(
+        "iterations {}, final_residual {:e}, fault report {:?}",
+        r.iterations, r.final_residual, r.fault
+    )
+}
+
 fn solve_both_ways(
     a: &CsrMatrix,
     block: usize,
@@ -65,8 +74,8 @@ fn threaded_matches_sim_tolerance_on_laplacian_100() {
     let a = laplacian_2d_5pt(10); // the 100x100 five-point matrix
     let tol = 1e-8;
     let (rs, rt, b) = solve_both_ways(&a, 10, tol);
-    assert!(rs.converged, "sim did not converge");
-    assert!(rt.converged, "threaded did not converge");
+    assert!(rs.converged, "sim did not converge: {}", run_summary(&rs));
+    assert!(rt.converged, "threaded did not converge: {}", run_summary(&rt));
     assert!(rs.iterations > 0 && rs.iterations < 20_000);
     assert!(rt.iterations > 0 && rt.iterations < 20_000);
     // Both iterates independently satisfy the same tolerance.
@@ -82,8 +91,8 @@ fn threaded_matches_sim_tolerance_on_trefethen_400() {
     let a = trefethen(400).expect("trefethen");
     let tol = 1e-10;
     let (rs, rt, b) = solve_both_ways(&a, 25, tol);
-    assert!(rs.converged, "sim did not converge");
-    assert!(rt.converged, "threaded did not converge");
+    assert!(rs.converged, "sim did not converge: {}", run_summary(&rs));
+    assert!(rt.converged, "threaded did not converge: {}", run_summary(&rt));
     assert!(rel_residual(&a, &b, &rs.x) <= tol, "sim residual above tol");
     assert!(rel_residual(&a, &b, &rt.x) <= tol, "threaded residual above tol");
 }
