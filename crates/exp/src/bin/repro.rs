@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Results print as markdown/text; with `--out DIR` each artifact is also
-//! written as CSV. `--out-metrics FILE` streams one JSONL record per
-//! solve (for the experiments that produce them) to `FILE`.
+//! written as CSV and compact JSON, and each figure as SVG.
+//! `--out-metrics FILE` streams one JSONL record per solve (for the
+//! experiments that produce them) to `FILE`.
 
 use abr_exp::experiments::{
     ablation, comm_staleness, convergence_figs, fault_exp, fig11, fig9, ingest, nondet,

@@ -1,8 +1,10 @@
-//! A dependency-free JSON value: recursive-descent parser and renderer.
+//! The workspace's one JSON codec: a dependency-free value type with a
+//! recursive-descent parser and a compact renderer.
 //!
-//! The workspace bans external crates (no serde); `abr_exp::report`
-//! already *writes* hand-rolled JSON, and the wire protocol additionally
-//! needs to *read* it. This is the minimal complete JSON grammar —
+//! The workspace bans external crates (no serde). Every JSON artifact goes
+//! through [`Value`]: `repro`'s table and figure files
+//! ([`crate::report`]), the JSONL run metrics ([`crate::metrics`]) and the
+//! `abr-service` wire frames. This is the minimal complete JSON grammar —
 //! objects, arrays, strings with escapes, numbers, booleans, null — with
 //! two deliberate properties:
 //!
@@ -10,14 +12,18 @@
 //!   `str::parse::<f64>` and render with `Display`, which emits the
 //!   shortest digits that re-parse to the same bits — so a solution
 //!   vector survives daemon → client unchanged, which the soak test's
-//!   bit-identity assertion depends on.
+//!   bit-identity assertion depends on. JSON has no inf/nan; a
+//!   non-finite number renders as `null`.
 //! * **Objects preserve insertion order** (a `Vec` of pairs, not a map):
 //!   rendering is deterministic and frames are diffable in tests.
 //!
 //! Nesting is capped at [`MAX_DEPTH`] arrays and objects: the parser
 //! recurses once per level, so without a cap a frame of `[`s (frames may
 //! be 64 MiB) would overflow a connection thread's stack and abort the
-//! daemon. A deeper document is an ordinary parse error.
+//! daemon. A deeper document is an ordinary parse error. Strings parse in
+//! linear time: each run of plain characters is copied in one piece.
+
+use std::fmt::Write as _;
 
 /// Deepest nesting of arrays and objects [`Value::parse`] accepts.
 pub const MAX_DEPTH: usize = 128;
@@ -124,12 +130,11 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(v) => out.push_str(&render_f64(*v)),
-            Value::Str(s) => {
-                out.push('"');
-                out.push_str(&abr_exp::report::json_escape(s));
-                out.push('"');
+            Value::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
             }
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => escape_into(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -146,9 +151,8 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&abr_exp::report::json_escape(k));
-                    out.push_str("\":");
+                    escape_into(out, k);
+                    out.push(':');
                     v.render_into(out);
                 }
                 out.push('}');
@@ -157,14 +161,23 @@ impl Value {
     }
 }
 
-/// Renders an `f64` as a JSON number. JSON has no inf/nan; they become
-/// `null`, matching `abr_exp::report::json_f64`.
-pub fn render_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+/// Appends `s` as a quoted JSON string literal.
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
+    out.push('"');
 }
 
 struct Parser<'a> {
@@ -282,13 +295,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe): find the
-                    // next char boundary from the raw bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one piece.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    self.pos = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| start + i);
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| "non-utf8 string")?,
+                    );
                 }
             }
         }
@@ -364,6 +381,9 @@ pub fn usize_arr(xs: &[usize]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parses_the_grammar() {
@@ -422,5 +442,108 @@ mod tests {
             ("n", Value::Num(64.0)),
         ]);
         assert_eq!(Value::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        let body = "abcdefgh".repeat(1 << 17);
+        let doc = format!("\"{body}\"");
+        let t0 = std::time::Instant::now();
+        let v = Value::parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.as_str().map(str::len), Some(1 << 20));
+        assert!(took < std::time::Duration::from_secs(1), "1 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn multibyte_text_and_every_escape_parse_back_exactly() {
+        let doc = r#""é\"λ\\€\/😀\n\r\t\b\fZ\u00e9\u0000ü""#;
+        let want = "é\"λ\\€/😀\n\r\t\u{8}\u{c}Z\u{e9}\u{0}ü";
+        assert_eq!(Value::parse(doc).unwrap(), Value::Str(want.into()));
+        let text = Value::Str(want.into());
+        assert_eq!(Value::parse(&text.render()).unwrap(), text);
+    }
+
+    /// Characters the generated strings draw from: every escaped class
+    /// plus one- to four-byte UTF-8.
+    const CHARS: [char; 16] = [
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}', 'a', ' ', '\u{7f}', 'é',
+        'λ', '€', '😀',
+    ];
+
+    fn gen_string(rng: &mut StdRng) -> String {
+        (0..rng.gen_range(0usize..10)).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect()
+    }
+
+    /// A float from a mix of awkward classes: signed zero, subnormals,
+    /// integers, arbitrary bit patterns and the non-finite values.
+    fn gen_f64(rng: &mut StdRng) -> f64 {
+        let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+        match rng.gen_range(0usize..6) {
+            0 => -0.0,
+            1 => sign * f64::from_bits(rng.gen_range(1u64..1 << 52)),
+            2 => sign * rng.gen_range(0u64..1 << 53) as f64,
+            3 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0usize..3)],
+            _ => f64::from_bits(rng.gen::<u64>()),
+        }
+    }
+
+    fn gen_value(rng: &mut StdRng, depth: usize) -> Value {
+        let kinds = if depth == 0 { 4usize } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen()),
+            2 => Value::Num(gen_f64(rng)),
+            3 => Value::Str(gen_string(rng)),
+            4 => Value::Arr(
+                (0..rng.gen_range(0usize..5)).map(|_| gen_value(rng, depth - 1)).collect(),
+            ),
+            _ => Value::Obj(
+                (0..rng.gen_range(0usize..5))
+                    .map(|_| (gen_string(rng), gen_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// What `v` reads back as: non-finite numbers become `null`.
+    fn rendered_form(v: &Value) -> Value {
+        match v {
+            Value::Num(x) if !x.is_finite() => Value::Null,
+            Value::Arr(items) => Value::Arr(items.iter().map(rendered_form).collect()),
+            Value::Obj(fields) => {
+                Value::Obj(fields.iter().map(|(k, v)| (k.clone(), rendered_form(v))).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Structural equality with numbers compared bit for bit.
+    fn same_bits(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+            (Value::Arr(xs), Value::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+            }
+            (Value::Obj(xs), Value::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs.iter().zip(ys).all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn parse_inverts_render(seed in 0u64..u64::MAX) {
+            let v = gen_value(&mut StdRng::seed_from_u64(seed), 4);
+            let text = v.render();
+            // JSON forbids raw control characters below U+0020.
+            prop_assert!(!text.chars().any(|c| c < ' '), "unescaped control char in {text:?}");
+            let back = Value::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            prop_assert!(same_bits(&back, &rendered_form(&v)), "{v:?} -> {text} -> {back:?}");
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! runs in seconds (used by integration tests).
 
 pub mod experiments;
+pub mod json;
 pub mod matrices;
 pub mod metrics;
 pub mod report;

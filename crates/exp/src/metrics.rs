@@ -1,13 +1,12 @@
 //! JSONL run-metrics export (ROADMAP item): one JSON object per solve,
 //! carrying iterations, the residual trajectory, staleness moments, and —
-//! for faulted runs — the full [`FaultReport`]. Built on the same
-//! hand-rolled JSON helpers as [`crate::report`] (no serde in this
-//! workspace), behind a [`MetricsSink`] trait so experiments stay
-//! agnostic of where the lines go (file, memory, nowhere).
+//! for faulted runs — the full [`FaultReport`]. Rendered through the
+//! workspace codec [`crate::json`], behind a [`MetricsSink`] trait so
+//! experiments stay agnostic of where the lines go (file, memory,
+//! nowhere).
 
-use crate::report::{json_escape, json_f64};
+use crate::json::{obj, Value};
 use abr_gpu::{FaultReport, UpdateTrace};
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -51,79 +50,59 @@ impl RunMetrics {
 
     /// Renders the record as one JSON object (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"experiment\":\"{}\",\"matrix\":\"{}\",\"method\":\"{}\",\
-             \"iterations\":{},\"converged\":{},\"final_residual\":{}",
-            json_escape(&self.experiment),
-            json_escape(&self.matrix),
-            json_escape(&self.method),
-            self.iterations,
-            self.converged,
-            json_f64(self.final_residual),
-        );
-        out.push_str(",\"residuals\":[");
-        for (i, &(it, rr)) in self.residuals.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{}]", it, json_f64(rr));
-        }
-        let _ = write!(
-            out,
-            "],\"max_skew\":{},\"mean_shift\":{},\"fraction_fresh\":{}",
-            self.max_skew,
-            json_f64(self.mean_shift),
-            json_f64(self.fraction_fresh),
-        );
-        match &self.fault {
-            None => out.push_str(",\"fault\":null"),
-            Some(f) => {
-                let _ = write!(
-                    out,
-                    ",\"fault\":{{\"caught_panics\":{},\"max_outage_rounds\":{}",
-                    f.caught_panics, f.max_outage_rounds
-                );
-                out.push_str(",\"deaths\":[");
-                for (i, d) in f.deaths.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"worker\":{},\"declared_at\":{},\"detection_lag\":{}}}",
-                        d.worker, d.declared_at, d.detection_lag
-                    );
-                }
-                out.push_str("],\"reassignments\":[");
-                for (i, r) in f.reassignments.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"shard\":{},\"new_owner\":{},\"at_floor\":{}}}",
-                        r.shard, r.new_owner, r.at_floor
-                    );
-                }
-                out.push_str("],\"frozen_spans\":[");
-                for (i, s) in f.frozen_spans.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"block\":{},\"frozen_at\":{},\"outage_rounds\":{},\"thawed\":{}}}",
-                        s.block, s.frozen_at, s.outage_rounds, s.thawed
-                    );
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push('}');
-        out
+        let residuals =
+            self.residuals.iter().map(|&(it, rr)| Value::Arr(vec![count(it), Value::Num(rr)]));
+        obj(vec![
+            ("experiment", Value::Str(self.experiment.clone())),
+            ("matrix", Value::Str(self.matrix.clone())),
+            ("method", Value::Str(self.method.clone())),
+            ("iterations", count(self.iterations)),
+            ("converged", Value::Bool(self.converged)),
+            ("final_residual", Value::Num(self.final_residual)),
+            ("residuals", Value::Arr(residuals.collect())),
+            ("max_skew", count(self.max_skew)),
+            ("mean_shift", Value::Num(self.mean_shift)),
+            ("fraction_fresh", Value::Num(self.fraction_fresh)),
+            ("fault", self.fault.as_ref().map_or(Value::Null, fault_value)),
+        ])
+        .render()
     }
+}
+
+fn count(n: usize) -> Value {
+    Value::Num(n as f64)
+}
+
+fn fault_value(f: &FaultReport) -> Value {
+    let deaths = f.deaths.iter().map(|d| {
+        obj(vec![
+            ("worker", count(d.worker)),
+            ("declared_at", count(d.declared_at)),
+            ("detection_lag", count(d.detection_lag)),
+        ])
+    });
+    let reassignments = f.reassignments.iter().map(|r| {
+        obj(vec![
+            ("shard", count(r.shard)),
+            ("new_owner", count(r.new_owner)),
+            ("at_floor", count(r.at_floor)),
+        ])
+    });
+    let frozen_spans = f.frozen_spans.iter().map(|s| {
+        obj(vec![
+            ("block", count(s.block)),
+            ("frozen_at", count(s.frozen_at)),
+            ("outage_rounds", count(s.outage_rounds)),
+            ("thawed", Value::Bool(s.thawed)),
+        ])
+    });
+    obj(vec![
+        ("caught_panics", count(f.caught_panics)),
+        ("max_outage_rounds", count(f.max_outage_rounds)),
+        ("deaths", Value::Arr(deaths.collect())),
+        ("reassignments", Value::Arr(reassignments.collect())),
+        ("frozen_spans", Value::Arr(frozen_spans.collect())),
+    ])
 }
 
 /// Where run metrics go. Experiments call [`record`](Self::record) once
@@ -232,18 +211,16 @@ mod tests {
 
     #[test]
     fn json_line_carries_every_section() {
-        let line = sample().to_json_line();
-        for needle in [
-            "\"experiment\":\"recovery\"",
-            "\"residuals\":[[10,0.5],[20,0.25]]",
-            "\"max_skew\":4",
-            "\"deaths\":[{\"worker\":1,\"declared_at\":18,\"detection_lag\":8}]",
-            "\"reassignments\":[{\"shard\":1,\"new_owner\":0,\"at_floor\":33}]",
-            "\"frozen_spans\":[{\"block\":3,\"frozen_at\":10,\"outage_rounds\":23,\"thawed\":true}]",
-        ] {
-            assert!(line.contains(needle), "missing {needle} in {line}");
-        }
-        assert!(!line.contains('\n'), "one line per record");
+        let want = concat!(
+            r#"{"experiment":"recovery","matrix":"L100","method":"recovery-(15)","#,
+            r#""iterations":420,"converged":true,"final_residual":0.000000000035,"#,
+            r#""residuals":[[10,0.5],[20,0.25]],"max_skew":4,"mean_shift":0.75,"#,
+            r#""fraction_fresh":0.5,"fault":{"caught_panics":0,"max_outage_rounds":23,"#,
+            r#""deaths":[{"worker":1,"declared_at":18,"detection_lag":8}],"#,
+            r#""reassignments":[{"shard":1,"new_owner":0,"at_floor":33}],"#,
+            r#""frozen_spans":[{"block":3,"frozen_at":10,"outage_rounds":23,"thawed":true}]}}"#,
+        );
+        assert_eq!(sample().to_json_line(), want);
     }
 
     #[test]

@@ -1,36 +1,9 @@
 //! Output plumbing: tables (for the paper's tables) and series (for its
-//! figures), rendered as markdown/plain text and optionally CSV.
+//! figures), rendered as markdown/plain text, CSV and JSON (through
+//! [`crate::json`]).
 
+use crate::json::{num_arr, obj, Value};
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an `f64` as a JSON number (JSON has no inf/nan; they render as
-/// null, matching what a lossy serializer would emit).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// A rectangular results table.
 #[derive(Debug, Clone)]
@@ -81,34 +54,19 @@ impl Table {
         out
     }
 
-    /// Renders JSON (pretty, two-space indent).
+    /// Renders compact JSON: `title`, `headers` and `rows`.
     pub fn to_json(&self) -> String {
-        let headers = self
-            .headers
-            .iter()
-            .map(|h| format!("    \"{}\"", json_escape(h)))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cells = row
-                    .iter()
-                    .map(|c| format!("      \"{}\"", json_escape(c)))
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!("    [\n{cells}\n    ]")
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"title\": \"{}\",\n  \"headers\": [\n{}\n  ],\n  \"rows\": [\n{}\n  ]\n}}",
-            json_escape(&self.title),
-            headers,
-            rows
-        )
+        obj(vec![
+            ("title", Value::Str(self.title.clone())),
+            ("headers", strings(&self.headers)),
+            ("rows", Value::Arr(self.rows.iter().map(|row| strings(row)).collect())),
+        ])
+        .render()
     }
+}
+
+fn strings(cells: &[String]) -> Value {
+    Value::Arr(cells.iter().map(|c| Value::Str(c.clone())).collect())
 }
 
 /// One labelled data series of a figure: `(x, y)` points.
@@ -211,39 +169,22 @@ impl Figure {
         out
     }
 
-    /// Renders JSON (pretty, two-space indent).
+    /// Renders compact JSON: the labels plus each series' `[x, y]`
+    /// points.
     pub fn to_json(&self) -> String {
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let points = s
-                    .points
-                    .iter()
-                    .map(|&(x, y)| {
-                        format!(
-                            "        [\n          {},\n          {}\n        ]",
-                            json_f64(x),
-                            json_f64(y)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    "    {{\n      \"label\": \"{}\",\n      \"points\": [\n{}\n      ]\n    }}",
-                    json_escape(&s.label),
-                    points
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"title\": \"{}\",\n  \"x_label\": \"{}\",\n  \"y_label\": \"{}\",\n  \"series\": [\n{}\n  ]\n}}",
-            json_escape(&self.title),
-            json_escape(&self.x_label),
-            json_escape(&self.y_label),
-            series
-        )
+        let series = self.series.iter().map(|s| {
+            obj(vec![
+                ("label", Value::Str(s.label.clone())),
+                ("points", Value::Arr(s.points.iter().map(|&(x, y)| num_arr(&[x, y])).collect())),
+            ])
+        });
+        obj(vec![
+            ("title", Value::Str(self.title.clone())),
+            ("x_label", Value::Str(self.x_label.clone())),
+            ("y_label", Value::Str(self.y_label.clone())),
+            ("series", Value::Arr(series.collect())),
+        ])
+        .render()
     }
 }
 
@@ -280,13 +221,22 @@ mod tests {
 
     #[test]
     fn json_roundtrips_structure() {
-        let mut t = Table::new("demo", &["a"]);
-        t.push_row(vec!["1".into()]);
-        let j = t.to_json();
-        assert!(j.contains("\"title\": \"demo\""), "{j}");
+        let mut t = Table::new("demo \"q\"", &["a", "b"]);
+        t.push_row(vec!["1".into(), "x\ny".into()]);
+        let v = Value::parse(&t.to_json()).unwrap();
+        assert_eq!(v.get("title").and_then(Value::as_str), Some("demo \"q\""));
+        assert_eq!(v.get("headers"), Some(&strings(&t.headers)));
+        assert_eq!(v.get("rows"), Some(&Value::Arr(vec![strings(&t.rows[0])])));
+
         let mut f = Figure::new("fig", "x", "y");
-        f.push(Series::new("s", vec![(1.0, 2.0)]));
-        assert!(f.to_json().contains("\"points\""));
+        f.push(Series::new("s", vec![(1.0, 2.5), (3.0, f64::NAN)]));
+        let v = Value::parse(&f.to_json()).unwrap();
+        assert_eq!(v.get("x_label").and_then(Value::as_str), Some("x"));
+        let series = v.get("series").and_then(Value::as_arr).unwrap();
+        assert_eq!(series[0].get("label").and_then(Value::as_str), Some("s"));
+        let points = series[0].get("points").and_then(Value::as_arr).unwrap();
+        assert_eq!(points[0].as_f64_vec(), Some(vec![1.0, 2.5]));
+        assert_eq!(points[1], Value::Arr(vec![Value::Num(3.0), Value::Null]), "NaN renders null");
     }
 
     #[test]

@@ -33,10 +33,10 @@
 //!   zero-leaked-threads accounting.
 
 use crate::cache::{solve_key, Begin, CachedSolve, SolveCache};
-use crate::wire::{write_frame, MatrixSpec, Mode, Request, Response, SolveSpec};
+use crate::wire::{read_frame, write_frame, MatrixSpec, Mode, Request, Response, SolveSpec};
 use abr_core::{
     fingerprint_matrix, fingerprint_vec, AsyncBlockSolver, ExecutorKind, LeasedRun,
-    ScheduleKind, SolveOptions,
+    ScheduleKind, SolveOptions, SolveResult,
 };
 use abr_exp::metrics::{JsonlFileSink, MetricsSink, NullSink, RunMetrics};
 use abr_gpu::{
@@ -414,18 +414,9 @@ fn read_frame_idle(stream: &mut TcpStream, shared: &Shared) -> io::Result<Option
         }
     }
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut rest = [0u8; 3];
-    stream.read_exact(&mut rest)?;
-    let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]) as usize;
-    if len > crate::wire::MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    let frame = read_frame(&mut (&first[..]).chain(&mut *stream));
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+    frame
 }
 
 fn handle_conn(mut stream: TcpStream, shared: &Shared) {
@@ -510,63 +501,14 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
     let id = spec.id;
 
     // -- Validation (typed failures; retrying cannot help) --------------
-    let n = spec.matrix.n_rows();
-    if n == 0 {
-        shared.count(|c| c.failed += 1);
-        return Response::Failed { id, error: "empty system".into() };
-    }
-    if n > shared.cfg.max_rows {
-        shared.count(|c| c.failed += 1);
-        return Response::Failed {
-            id,
-            error: format!(
-                "admission: system of {n} rows exceeds this daemon's max_rows {}",
-                shared.cfg.max_rows
-            ),
-        };
-    }
-    let a: CsrMatrix = match &spec.matrix {
-        MatrixSpec::Lap2d { g } => gen::laplacian_2d_5pt(*g),
-        MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => {
-            match CsrMatrix::from_raw(
-                *n_rows,
-                *n_cols,
-                row_ptr.clone(),
-                col_idx.clone(),
-                values.clone(),
-            ) {
-                Ok(a) => a,
-                Err(e) => {
-                    shared.count(|c| c.failed += 1);
-                    return Response::Failed { id, error: format!("bad matrix: {e}") };
-                }
-            }
-        }
-    };
-    if a.n_rows() != a.n_cols() {
-        shared.count(|c| c.failed += 1);
-        return Response::Failed {
-            id,
-            error: format!("system must be square, got {} x {}", a.n_rows(), a.n_cols()),
-        };
-    }
-    let rhs = match &spec.rhs {
-        Some(r) if r.len() == n => r.clone(),
-        Some(r) => {
+    let (a, rhs) = match load_system(&spec, shared.cfg.max_rows) {
+        Ok(system) => system,
+        Err(error) => {
             shared.count(|c| c.failed += 1);
-            return Response::Failed {
-                id,
-                error: format!("rhs length {} does not match {n} rows", r.len()),
-            };
+            return Response::Failed { id, error };
         }
-        None => match a.mul_vec(&vec![1.0; n]) {
-            Ok(b) => b,
-            Err(e) => {
-                shared.count(|c| c.failed += 1);
-                return Response::Failed { id, error: format!("default rhs: {e}") };
-            }
-        },
     };
+    let n = a.n_rows();
 
     // -- Admission (bounded; shed with a retry hint) ---------------------
     let _slot = {
@@ -590,7 +532,7 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
     let _registered = Registered(shared, id);
 
     // -- Chaos + cache resolution ---------------------------------------
-    let workers = spec.workers.clamp(1, shared.pool_workers());
+    let workers = spec.workers.clamp(1, shared.pool.n_workers());
     let chaos = match spec.mode {
         Mode::Pooled => shared.sample_chaos(workers),
         Mode::Sim => None,
@@ -651,22 +593,22 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
             shared.count(|c| c.shed += 1);
             (Response::Overloaded { id, retry_after_ms: shared.retry_hint_ms() }, None)
         }
-        Ok(Solved::Finished { x, iterations, converged, final_residual, residuals, fault }) => {
+        Ok(Solved::Finished { result, checks }) => {
             shared.observe_solve_ms(t0.elapsed().as_secs_f64() * 1e3);
             shared.count(|c| c.completed += 1);
-            record_metrics(shared, &spec, n, iterations, converged, final_residual, residuals, fault);
-            let publish = (converged && chaos.is_none()).then(|| CachedSolve {
-                x: x.clone(),
-                iterations,
-                final_residual,
+            record_metrics(shared, &spec, &result, checks);
+            let publish = (result.converged && chaos.is_none()).then(|| CachedSolve {
+                x: result.x.clone(),
+                iterations: result.iterations,
+                final_residual: result.final_residual,
             });
             (
                 Response::Done {
                     id,
-                    x,
-                    iterations,
-                    converged,
-                    final_residual,
+                    iterations: result.iterations,
+                    converged: result.converged,
+                    final_residual: result.final_residual,
+                    x: result.x,
                     cached: false,
                     coalesced: false,
                     chaos: chaos.is_some(),
@@ -679,6 +621,40 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
         guard.publish(result);
     } // a guard dropped without publishing releases any coalesced waiters
     resp
+}
+
+/// Builds the request's system and right-hand side; every error is a
+/// validation failure that retrying cannot fix.
+fn load_system(spec: &SolveSpec, max_rows: usize) -> Result<(CsrMatrix, Vec<f64>), String> {
+    let n = spec.matrix.n_rows();
+    if n == 0 {
+        return Err("empty system".into());
+    }
+    if n > max_rows {
+        return Err(format!(
+            "admission: system of {n} rows exceeds this daemon's max_rows {max_rows}"
+        ));
+    }
+    let a = match &spec.matrix {
+        MatrixSpec::Lap2d { g } => gen::laplacian_2d_5pt(*g),
+        MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => CsrMatrix::from_raw(
+            *n_rows,
+            *n_cols,
+            row_ptr.clone(),
+            col_idx.clone(),
+            values.clone(),
+        )
+        .map_err(|e| format!("bad matrix: {e}"))?,
+    };
+    if a.n_rows() != a.n_cols() {
+        return Err(format!("system must be square, got {} x {}", a.n_rows(), a.n_cols()));
+    }
+    let rhs = match &spec.rhs {
+        Some(r) if r.len() == n => r.clone(),
+        Some(r) => return Err(format!("rhs length {} does not match {n} rows", r.len())),
+        None => a.mul_vec(&vec![1.0; n]).map_err(|e| format!("default rhs: {e}"))?,
+    };
+    Ok((a, rhs))
 }
 
 fn abort_response(shared: &Shared, id: u64, iterations: usize, cause: CancelCause) -> Response {
@@ -695,23 +671,12 @@ fn abort_response(shared: &Shared, id: u64, iterations: usize, cause: CancelCaus
 }
 
 enum Solved {
-    Finished {
-        x: Vec<f64>,
-        iterations: usize,
-        converged: bool,
-        final_residual: f64,
-        residuals: Vec<(usize, f64)>,
-        fault: Option<abr_gpu::FaultReport>,
-    },
+    /// The solve ran to its end, with the monitor's residual checks
+    /// (empty for a sim solve).
+    Finished { result: SolveResult, checks: Vec<(usize, f64)> },
     Interrupted(CancelCause, usize),
     /// Admitted but could not obtain a lease in time — shed after all.
     Shed,
-}
-
-impl Shared {
-    fn pool_workers(&self) -> usize {
-        self.pool.n_workers()
-    }
 }
 
 #[allow(clippy::too_many_arguments)] // the request's full environment
@@ -747,14 +712,7 @@ fn run_solve(
                 return Ok(Solved::Interrupted(cause, 0));
             }
             let r = solver.solve(a, rhs, x0, &partition, &opts).map_err(|e| e.to_string())?;
-            Ok(Solved::Finished {
-                x: r.x,
-                iterations: r.iterations,
-                converged: r.converged,
-                final_residual: r.final_residual,
-                residuals: Vec::new(),
-                fault: None,
-            })
+            Ok(Solved::Finished { result: r, checks: Vec::new() })
         }
         Mode::Pooled => {
             // Lease admission: bounded wait in short slices so the token
@@ -800,33 +758,21 @@ fn run_solve(
                     CancelCause::DeadlineExceeded,
                     solved.result.iterations,
                 )),
-                _ => Ok(Solved::Finished {
-                    x: solved.result.x,
-                    iterations: solved.result.iterations,
-                    converged: solved.result.converged,
-                    final_residual: solved.result.final_residual,
-                    residuals: solved.checks,
-                    fault: solved.result.fault,
-                }),
+                _ => Ok(Solved::Finished { result: solved.result, checks: solved.checks }),
             }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one metrics record's fields
 fn record_metrics(
     shared: &Shared,
     spec: &SolveSpec,
-    n: usize,
-    iterations: usize,
-    converged: bool,
-    final_residual: f64,
+    result: &SolveResult,
     residuals: Vec<(usize, f64)>,
-    fault: Option<abr_gpu::FaultReport>,
 ) {
     let matrix = match &spec.matrix {
         MatrixSpec::Lap2d { g } => format!("lap2d-g{g}"),
-        MatrixSpec::Csr { .. } => format!("csr-{n}"),
+        MatrixSpec::Csr { n_rows, .. } => format!("csr-{n_rows}"),
     };
     let method = match spec.mode {
         Mode::Sim => format!("sim-async-({})", spec.local_iters.max(1)),
@@ -836,11 +782,11 @@ fn record_metrics(
         experiment: "service".into(),
         matrix,
         method,
-        iterations,
-        converged,
-        final_residual,
+        iterations: result.iterations,
+        converged: result.converged,
+        final_residual: result.final_residual,
         residuals,
-        fault,
+        fault: result.fault.clone(),
         ..RunMetrics::default()
     };
     let mut sink = shared.metrics.lock();

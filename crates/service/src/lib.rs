@@ -30,9 +30,9 @@
 pub mod cache;
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod wire;
 
+pub use abr_exp::json;
 pub use cache::{solve_key, Begin, CachedSolve, SolveCache};
 pub use client::{Client, RetryPolicy};
 pub use daemon::{ChaosConfig, Daemon, DaemonConfig, DrainReport, ServiceCounters};

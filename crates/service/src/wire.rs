@@ -533,4 +533,47 @@ mod tests {
         let req = Request::Solve(SolveSpec { matrix: m, ..SolveSpec::lap2d(1, 2) });
         assert_eq!(Request::parse(&req.render()).unwrap(), req);
     }
+
+    /// A solve frame exercising every field, explicit CSR included. The
+    /// counts have two digits, so one flipped byte can make them negative.
+    fn solve_frame() -> String {
+        let matrix = MatrixSpec::Csr {
+            n_rows: 12,
+            n_cols: 12,
+            row_ptr: (0..=12).collect(),
+            col_idx: (0..12).collect(),
+            values: vec![4.0; 12],
+        };
+        let spec = SolveSpec {
+            matrix,
+            rhs: Some(vec![-2.5; 12]),
+            deadline_ms: Some(250),
+            ..SolveSpec::lap2d(17, 2)
+        };
+        Request::Solve(spec).render()
+    }
+
+    #[test]
+    fn every_truncated_solve_frame_is_an_error() {
+        let frame = solve_frame();
+        assert!(Request::parse(&frame).is_ok());
+        for end in 0..frame.len() {
+            assert!(Request::parse(&frame[..end]).is_err(), "accepted {:?}", &frame[..end]);
+        }
+    }
+
+    #[test]
+    fn every_single_byte_mutation_of_a_solve_frame_parses_without_panicking() {
+        let frame = solve_frame().into_bytes();
+        for i in 0..frame.len() {
+            for byte in 0..=u8::MAX {
+                let mut bytes = frame.clone();
+                bytes[i] = byte;
+                // `read_frame` rejects non-UTF-8 payloads before they parse.
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    let _ = Request::parse(text);
+                }
+            }
+        }
+    }
 }
