@@ -15,7 +15,7 @@
 //! Every JSON line (set `CRITERION_JSON=BENCH_block_plan.json`) carries
 //! `n`, `nnz`, and a modelled roofline `bytes_per_update` — the memory
 //! traffic one component update costs under that tier, see
-//! [`bytes_per_update`]. `plan` and `simd` move the same bytes; the
+//! `bytes_per_update`. `plan` and `simd` move the same bytes; the
 //! speedup between them is pure data-level parallelism, while `stencil`
 //! shows up as an actual traffic drop (no stored operator).
 

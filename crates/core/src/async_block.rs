@@ -18,7 +18,9 @@
 //! discrete-event simulator for reproducible experiments, or real threads
 //! for genuine hardware chaos.
 
-use crate::convergence::{check_system, relative_residual_with, SolveOptions, SolveResult};
+use crate::convergence::{
+    check_system, relative_residual_with, Progress, SolveOptions, SolveResult,
+};
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
 use abr_gpu::{
@@ -255,51 +257,28 @@ impl AsyncBlockSolver {
         };
         let mut schedule = self.schedule.build();
         let mut x = x0.to_vec();
-        let mut history: Vec<f64> = Vec::new();
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut rbuf: Vec<f64> = Vec::new();
-        let mut last_check: Option<f64> = None;
+        let mut run = Progress::new(a, rhs, opts);
 
-        // Chunked driving: the executor runs `chunk` asynchronous global
-        // rounds at a time; between chunks the *driver* (host) checks
+        // Chunked driving: the executor runs a chunk of asynchronous
+        // global rounds at a time; between chunks the host checks
         // convergence, exactly like the paper's host-side residual tests.
-        let chunk = if opts.tol > 0.0 { opts.check_every.max(1) } else { opts.max_iters };
-        while iterations < opts.max_iters && !converged {
-            let rounds = chunk.min(opts.max_iters - iterations);
-            let offset_filter = OffsetFilter { inner: filter, offset: iterations };
-            let mut offset_schedule =
-                OffsetSchedule { inner: schedule.as_mut(), offset: iterations };
+        // The history records the iterate after every round.
+        while run.running() {
+            let offset = run.iterations();
+            let rounds = run.chunk_len();
+            let offset_filter = OffsetFilter { inner: filter, offset };
+            let mut offset_schedule = OffsetSchedule { inner: schedule.as_mut(), offset };
             let exec = SimExecutor::new(SimOptions {
                 // decorrelate chunk seeds while staying reproducible
-                seed: sim_opts.seed.wrapping_add(iterations as u64),
+                seed: sim_opts.seed.wrapping_add(offset as u64),
                 ..sim_opts.clone()
             });
             exec.run(kernel, &mut x, rounds, &mut offset_schedule, &offset_filter, |_k, xk| {
-                if opts.record_history {
-                    history.push(relative_residual_with(&mut rbuf, a, rhs, xk));
-                }
+                run.observe(xk)
             });
-            iterations += rounds;
-            if opts.tol > 0.0 {
-                let rr = relative_residual_with(&mut rbuf, a, rhs, &x);
-                last_check = Some(rr);
-                if rr <= opts.tol {
-                    converged = true;
-                } else if !rr.is_finite() {
-                    break;
-                }
-            }
+            run.chunk_done(rounds, &x);
         }
-
-        // Every chunk ends in a check when tol > 0, so the last one
-        // already measured this `x`; only a run with no check measures it.
-        let final_residual =
-            last_check.unwrap_or_else(|| relative_residual_with(&mut rbuf, a, rhs, &x));
-        if opts.tol > 0.0 && final_residual <= opts.tol {
-            converged = true;
-        }
-        Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+        Ok(run.finish(x))
     }
 
     /// The threaded solve path: every real-thread solve runs here. It
@@ -455,7 +434,7 @@ pub struct FaultedSolve {
     /// counts, realised `max_skew` — bounded by
     /// `max_round_lag + 1 + max_outage_rounds`).
     pub trace: UpdateTrace,
-    /// The raw executor report ([`RunOutcome`](abr_gpu::RunOutcome),
+    /// The raw executor report ([`RunOutcome`],
     /// stop watermark, steal/check counters, the fault report again).
     pub report: abr_gpu::PersistentReport,
     /// The concurrent monitor's `(global_iteration, relative_residual)`
@@ -569,7 +548,7 @@ pub const FUSED_FORCE_EXACT_EVERY: usize = 8;
 
 /// Endgame window of [`ResidualMonitor`]: an exact check whose relative
 /// residual lands within this factor above the tolerance marks the run
-/// [`urgent`](crate::ConvergenceMonitor::urgent) — a couple of rounds of
+/// [`urgent`](abr_gpu::ConvergenceMonitor::urgent) — a couple of rounds of
 /// typical contraction away from stopping — and the executor then polls
 /// at full pace instead of sleeping a multiple of the check's cost. A
 /// converging run spends only its last few polls inside the window, so

@@ -13,7 +13,7 @@
 //! reports the measured gap.
 
 use crate::async_block::AsyncJacobiKernel;
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_gpu::{BlockKernel, BlockScratch, XView};
 use abr_sparse::{CsrMatrix, Result, RowPartition};
 
@@ -36,41 +36,18 @@ pub fn block_jacobi(
     let mut x = x0.to_vec();
     let mut x_new = x0.to_vec();
     let mut scratch = BlockScratch::new();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
+    let mut run = Progress::new(a, rhs, opts);
 
-    for _ in 0..opts.max_iters {
+    while run.running() {
         // All blocks read the same snapshot `x`, results go to `x_new`.
         for b in 0..kernel.n_blocks() {
             let (s, e) = kernel.block_range(b);
             kernel.update_block_with(b, &XView::Plain(&x), &mut x_new[s..e], &mut scratch);
         }
         std::mem::swap(&mut x, &mut x_new);
-        iterations += 1;
-
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, rhs, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
+        run.step(&x);
     }
-
-    let final_residual = relative_residual(a, rhs, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(run.finish(x))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! Linear Systems*, alg. 6.18) — the "highly tuned GPU CG" the paper's
 //! §4.4 compares the block-asynchronous method against.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_sparse::{blas1, CsrMatrix, Result};
 
 /// Solves the SPD system `A x = b` with plain (unpreconditioned) CG.
@@ -21,11 +21,10 @@ pub fn conjugate_gradient(
     let nb = blas1::norm2(b).max(f64::MIN_POSITIVE);
     let mut rs = blas1::dot(&r, &r);
 
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = rs.sqrt() / nb <= opts.tol && opts.tol > 0.0;
+    let mut run = Progress::new(a, b, opts);
+    run.start(rs.sqrt() / nb);
 
-    while iterations < opts.max_iters && !converged {
+    while run.running() {
         a.spmv(&p, &mut ap)?;
         let pap = blas1::dot(&p, &ap);
         if pap <= 0.0 || !pap.is_finite() {
@@ -39,25 +38,9 @@ pub fn conjugate_gradient(
         let beta = rs_new / rs;
         blas1::xpay(&r, beta, &mut p);
         rs = rs_new;
-        iterations += 1;
-
-        let rr = rs.sqrt() / nb;
-        if opts.record_history {
-            history.push(rr);
-        }
-        if opts.tol > 0.0 && rr <= opts.tol {
-            converged = true;
-        }
-        if !rr.is_finite() {
-            break;
-        }
+        run.step_with(rs.sqrt() / nb);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(run.finish(x))
 }
 
 #[cfg(test)]

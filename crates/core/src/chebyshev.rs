@@ -5,7 +5,7 @@
 //! the classic middle ground between stationary relaxation and Krylov
 //! methods).
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_sparse::scaling::jacobi_operator_extremes;
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
@@ -46,12 +46,10 @@ pub fn chebyshev(
     let sigma1 = theta / delta;
     let mut rho = 1.0 / sigma1;
     let mut d: Vec<f64> = z.iter().map(|&zi| zi / theta).collect();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
     let nb = abr_sparse::blas1::norm2(b).max(f64::MIN_POSITIVE);
+    let mut run = Progress::new(a, b, opts);
 
-    while iterations < opts.max_iters && !converged {
+    while run.running() {
         abr_sparse::blas1::axpy(1.0, &d, &mut x);
         r = a.residual(b, &x)?;
         for ((zi, &ri), &di) in z.iter_mut().zip(&r).zip(&inv_diag) {
@@ -62,24 +60,11 @@ pub fn chebyshev(
             *di_ = rho_new * rho * *di_ + (2.0 * rho_new / delta) * zi;
         }
         rho = rho_new;
-        iterations += 1;
-        let rr = abr_sparse::blas1::norm2(&r) / nb;
-        if opts.record_history {
-            history.push(rr);
-        }
-        if opts.tol > 0.0 && rr <= opts.tol {
-            converged = true;
-        }
-        if !rr.is_finite() {
-            break;
-        }
+        // `||r|| / max(||b||, MIN_POSITIVE)`: not `relative_residual`, so
+        // it is reported as computed and the final residual is measured.
+        run.step_with(abr_sparse::blas1::norm2(&r) / nb);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(run.finish(x))
 }
 
 /// Chebyshev with Lanczos-estimated eigenvalue bounds (slightly widened

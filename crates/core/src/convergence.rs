@@ -19,9 +19,13 @@ pub struct SolveOptions {
     /// executor; a threaded async-(k) solve ignores it and returns an
     /// empty history.
     pub record_history: bool,
-    /// For asynchronous methods: how many global iterations to run between
-    /// convergence checks (each check is a synchronisation point of the
-    /// *driver*, not of the iteration itself).
+    /// How many (global) iterations to run between exact residual checks
+    /// when `tol > 0`; `0` reads as `1`. Honoured by Jacobi, Gauss-Seidel,
+    /// damped Jacobi, block-Jacobi and async-(k) on either executor (for
+    /// async-(k) each check is a synchronisation point of the host loop,
+    /// not of the iteration itself). CG, PCG and Chebyshev check their own
+    /// residual every iteration, and multigrid checks the exact residual
+    /// after every V-cycle, whatever this says.
     pub check_every: usize,
 }
 
@@ -69,19 +73,6 @@ pub struct SolveResult {
     pub fault: Option<abr_gpu::FaultReport>,
 }
 
-impl SolveResult {
-    /// Residual after `iters` iterations, from the recorded history
-    /// (`iters = 0` returns the implicit initial residual of 1.0 only if
-    /// the caller started from `x0 = 0`; prefer indexing the history).
-    pub fn residual_at(&self, iters: usize) -> Option<f64> {
-        if iters == 0 {
-            None
-        } else {
-            self.history.get(iters - 1).copied()
-        }
-    }
-}
-
 /// Relative residual `||b - Ax||_2 / ||b||_2` (`||r||` itself when
 /// `b = 0`).
 ///
@@ -122,6 +113,168 @@ pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &
         blas1::norm2(buf)
     } else {
         blas1::norm2(buf) / nb
+    }
+}
+
+/// The stopping rule every solver loop in this crate shares (the threaded
+/// async-(k) path excepted: its concurrent monitor decides there). It
+/// owns the iteration budget, when a check is due, the tolerance stop and
+/// the stop on a non-finite residual, the history, and the final residual
+/// and verdict of the [`SolveResult`]. A solver runs
+/// `while run.running() { <update>; run.step…(…) }` and ends with
+/// [`finish`](Self::finish).
+pub(crate) struct Progress<'a> {
+    a: &'a CsrMatrix,
+    b: &'a [f64],
+    opts: &'a SolveOptions,
+    iterations: usize,
+    converged: bool,
+    stopped: bool,
+    history: Vec<f64>,
+    buf: Vec<f64>,
+    /// The exact residual of the current iterate, when a check measured it.
+    exact: Option<f64>,
+}
+
+impl<'a> Progress<'a> {
+    pub(crate) fn new(a: &'a CsrMatrix, b: &'a [f64], opts: &'a SolveOptions) -> Self {
+        Progress {
+            a,
+            b,
+            opts,
+            iterations: 0,
+            converged: false,
+            stopped: false,
+            history: Vec::new(),
+            buf: Vec::new(),
+            exact: None,
+        }
+    }
+
+    /// Whether another iteration is due: no stop yet and budget left.
+    pub(crate) fn running(&self) -> bool {
+        !self.stopped && self.iterations < self.opts.max_iters
+    }
+
+    /// Iterations counted so far.
+    pub(crate) fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// A Krylov method's check of its own residual at `x0`: a start that
+    /// already meets `tol` runs no iteration.
+    pub(crate) fn start(&mut self, rr: f64) {
+        self.judge(rr);
+    }
+
+    /// Ends one relaxation iteration. Measures the exact residual of `x`
+    /// only when the history is on, or when `tol > 0` and the iteration
+    /// count is a multiple of `check_every`.
+    pub(crate) fn step(&mut self, x: &[f64]) {
+        self.advance(1);
+        let due =
+            self.opts.tol > 0.0 && self.iterations.is_multiple_of(self.opts.check_every.max(1));
+        if self.opts.record_history || due {
+            let rr = self.check(x);
+            self.record(rr);
+        }
+    }
+
+    /// Ends one iteration with an exact check of `x`, due or not.
+    pub(crate) fn step_checked(&mut self, x: &[f64]) {
+        self.advance(1);
+        let rr = self.check(x);
+        self.record(rr);
+    }
+
+    /// Ends one iteration whose residual `rr` the method computed itself.
+    /// The run stops on it, but the final residual is still measured.
+    pub(crate) fn step_with(&mut self, rr: f64) {
+        self.advance(1);
+        self.record(rr);
+        self.judge(rr);
+    }
+
+    /// Rounds the next chunk of an executor run should take: the check
+    /// period when `tol > 0`, else the whole budget; never past it.
+    pub(crate) fn chunk_len(&self) -> usize {
+        let left = self.opts.max_iters - self.iterations;
+        if self.opts.tol > 0.0 {
+            self.opts.check_every.max(1).min(left)
+        } else {
+            left
+        }
+    }
+
+    /// Records the exact residual of a mid-chunk iterate in the history
+    /// (when it is on); counts nothing and stops nothing.
+    pub(crate) fn observe(&mut self, x: &[f64]) {
+        if self.opts.record_history {
+            let rr = self.measure(x);
+            self.history.push(rr);
+        }
+    }
+
+    /// Ends a chunk of `rounds` iterations that left `x`: checks it when
+    /// `tol > 0`, adding nothing to the history.
+    pub(crate) fn chunk_done(&mut self, rounds: usize, x: &[f64]) {
+        self.advance(rounds);
+        if self.opts.tol > 0.0 {
+            self.check(x);
+        }
+    }
+
+    /// The result for the final iterate `x`. Its residual is the last
+    /// exact check when that check measured `x`, else measured now; a run
+    /// stays converged once a check met `tol`.
+    pub(crate) fn finish(mut self, x: Vec<f64>) -> SolveResult {
+        let final_residual = match self.exact {
+            Some(rr) => rr,
+            None => self.measure(&x),
+        };
+        let converged = self.converged || (self.opts.tol > 0.0 && final_residual <= self.opts.tol);
+        SolveResult {
+            x,
+            iterations: self.iterations,
+            converged,
+            final_residual,
+            history: self.history,
+            fault: None,
+        }
+    }
+
+    /// Counts `n` iterations; the iterate changed, so no check measured it.
+    fn advance(&mut self, n: usize) {
+        self.iterations += n;
+        self.exact = None;
+    }
+
+    /// Measures the exact residual of the current iterate `x` and stops on it.
+    fn check(&mut self, x: &[f64]) -> f64 {
+        let rr = self.measure(x);
+        self.exact = Some(rr);
+        self.judge(rr);
+        rr
+    }
+
+    fn record(&mut self, rr: f64) {
+        if self.opts.record_history {
+            self.history.push(rr);
+        }
+    }
+
+    /// The tolerance stop, and the stop on a diverged (inf/NaN) residual.
+    fn judge(&mut self, rr: f64) {
+        if self.opts.tol > 0.0 && rr <= self.opts.tol {
+            self.converged = true;
+            self.stopped = true;
+        } else if !rr.is_finite() {
+            self.stopped = true;
+        }
+    }
+
+    fn measure(&mut self, x: &[f64]) -> f64 {
+        relative_residual_with(&mut self.buf, self.a, self.b, x)
     }
 }
 
@@ -207,18 +360,34 @@ mod tests {
     }
 
     #[test]
-    fn residual_at_indexing() {
-        let r = SolveResult {
-            x: vec![],
-            iterations: 3,
-            converged: true,
-            final_residual: 0.1,
-            history: vec![0.5, 0.25, 0.1],
-            fault: None,
-        };
-        assert_eq!(r.residual_at(1), Some(0.5));
-        assert_eq!(r.residual_at(3), Some(0.1));
-        assert_eq!(r.residual_at(4), None);
-        assert_eq!(r.residual_at(0), None);
+    fn a_run_ending_on_a_check_reports_that_check() {
+        let a = laplacian_1d(6);
+        let b = a.mul_vec(&[1.0; 6]).unwrap();
+        let opts =
+            SolveOptions { max_iters: 2, tol: 1e-300, record_history: false, check_every: 2 };
+        let (x1, x2) = (vec![0.5; 6], vec![0.75; 6]);
+        let mut run = Progress::new(&a, &b, &opts);
+        run.step(&x1);
+        assert_eq!(run.exact, None, "iteration 1 is not due");
+        run.step(&x2);
+        let check = run.exact.expect("iteration 2 is due");
+        assert!(!run.running(), "budget spent");
+        let r = run.finish(x2.clone());
+        assert_eq!(r.final_residual.to_bits(), check.to_bits());
+        assert_eq!(check.to_bits(), relative_residual(&a, &b, &x2).to_bits());
+        assert!(!r.converged);
+    }
+
+    #[test]
+    fn cg_started_at_the_solution_runs_no_iteration() {
+        let a = laplacian_1d(6);
+        let x = vec![2.0; 6];
+        let b = a.mul_vec(&x).unwrap();
+        let r =
+            crate::conjugate_gradient(&a, &b, &x, &SolveOptions::to_tolerance(1e-10, 50)).unwrap();
+        assert_eq!(r.iterations, 0);
+        assert!(r.converged);
+        assert_eq!(r.x, x);
+        assert_eq!(r.final_residual, 0.0);
     }
 }

@@ -1,9 +1,8 @@
 //! The Gauss-Seidel method: like Jacobi but each component update
 //! immediately uses the freshly computed values of earlier components —
-//! the synchronous CPU reference the paper compares against, plus a
-//! red-black (two-colour) variant that parallelises on grids.
+//! the synchronous CPU reference the paper compares against.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_sparse::{CsrMatrix, Result};
 
 /// Solves `A x = b` with forward Gauss-Seidel sweeps.
@@ -17,11 +16,9 @@ pub fn gauss_seidel(
     let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
     let n = a.n_rows();
     let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
+    let mut run = Progress::new(a, b, opts);
 
-    for _ in 0..opts.max_iters {
+    while run.running() {
         for i in 0..n {
             let mut acc = b[i];
             for (j, v) in a.row_iter(i) {
@@ -31,270 +28,9 @@ pub fn gauss_seidel(
             }
             x[i] = acc * inv_diag[i];
         }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
+        run.step(&x);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
-}
-
-/// Backward Gauss-Seidel sweeps (rows in descending order).
-pub fn gauss_seidel_backward(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: &SolveOptions,
-) -> Result<SolveResult> {
-    check_system(a, b, x0);
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in (0..n).rev() {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
-}
-
-/// Symmetric Gauss-Seidel: one forward followed by one backward sweep per
-/// iteration. The resulting iteration operator is symmetric in the
-/// `A`-inner product, which makes SGS usable as an SPD preconditioner.
-pub fn gauss_seidel_symmetric(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: &SolveOptions,
-) -> Result<SolveResult> {
-    check_system(a, b, x0);
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        for i in (0..n).rev() {
-            let mut acc = b[i];
-            for (j, v) in a.row_iter(i) {
-                if j != i {
-                    acc -= v * x[j];
-                }
-            }
-            x[i] = acc * inv_diag[i];
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
-}
-
-/// Red-black Gauss-Seidel: rows are two-coloured by `colour[i]`, all rows
-/// of colour 0 update first (in parallel, conceptually), then colour 1.
-/// For 5-point-stencil grids with a checkerboard colouring this is an
-/// exact Gauss-Seidel reordering; for general matrices it is a block
-/// two-stage method.
-pub fn gauss_seidel_red_black(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    colour: &[bool],
-    opts: &SolveOptions,
-) -> Result<SolveResult> {
-    check_system(a, b, x0);
-    assert_eq!(colour.len(), a.n_rows(), "one colour per row");
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let n = a.n_rows();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for phase in [false, true] {
-            for i in 0..n {
-                if colour[i] != phase {
-                    continue;
-                }
-                let mut acc = b[i];
-                for (j, v) in a.row_iter(i) {
-                    if j != i {
-                        acc -= v * x[j];
-                    }
-                }
-                x[i] = acc * inv_diag[i];
-            }
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
-}
-
-/// Multi-colour Gauss-Seidel: rows update colour class by colour class
-/// (classes from [`abr_sparse::coloring`]); within a class all updates
-/// are independent and could run in parallel, across classes the freshest
-/// values are used. With a valid colouring this is an exact Gauss-Seidel
-/// reordering — the classical synchronous-parallel alternative to the
-/// paper's asynchronous approach.
-pub fn gauss_seidel_multicolor(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    colors: &[usize],
-    opts: &SolveOptions,
-) -> Result<SolveResult> {
-    check_system(a, b, x0);
-    assert_eq!(colors.len(), a.n_rows(), "one colour per row");
-    let n_colors = colors.iter().copied().max().map_or(0, |m| m + 1);
-    // rows grouped by colour, preserving order within a class
-    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); n_colors];
-    for (i, &c) in colors.iter().enumerate() {
-        classes[c].push(i);
-    }
-    let inv_diag: Vec<f64> = a.nonzero_diagonal()?.iter().map(|&d| 1.0 / d).collect();
-    let mut x = x0.to_vec();
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..opts.max_iters {
-        for class in &classes {
-            for &i in class {
-                let mut acc = b[i];
-                for (j, v) in a.row_iter(i) {
-                    if j != i {
-                        acc -= v * x[j];
-                    }
-                }
-                x[i] = acc * inv_diag[i];
-            }
-        }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
-    }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
-}
-
-/// Checkerboard colouring for an `m x m` grid ordered row-major.
-pub fn checkerboard(m: usize) -> Vec<bool> {
-    (0..m * m).map(|c| (c / m + c % m) % 2 == 1).collect()
+    Ok(run.finish(x))
 }
 
 #[cfg(test)]
@@ -332,90 +68,6 @@ mod tests {
             "GS rate {rate_g} vs Jacobi^2 {}",
             rate_j * rate_j
         );
-    }
-
-    #[test]
-    fn red_black_equals_forward_rate_on_grid() {
-        let m = 8;
-        let a = laplacian_2d_5pt(m);
-        let b = a.mul_vec(&vec![1.0; m * m]).unwrap();
-        let opts = SolveOptions::fixed_iterations(80);
-        let rb = gauss_seidel_red_black(&a, &b, &vec![0.0; m * m], &checkerboard(m), &opts)
-            .unwrap();
-        let fw = gauss_seidel(&a, &b, &vec![0.0; m * m], &opts).unwrap();
-        // same asymptotic rate (not identical iterates)
-        let rate_rb = (rb.history[79] / rb.history[39]).powf(1.0 / 40.0);
-        let rate_fw = (fw.history[79] / fw.history[39]).powf(1.0 / 40.0);
-        assert!((rate_rb - rate_fw).abs() < 0.03, "{rate_rb} vs {rate_fw}");
-    }
-
-    #[test]
-    fn backward_converges_with_forward_rate() {
-        let a = laplacian_2d_5pt(8);
-        let b = a.mul_vec(&vec![1.0; 64]).unwrap();
-        let opts = SolveOptions::to_tolerance(1e-10, 100_000);
-        let fw = gauss_seidel(&a, &b, &vec![0.0; 64], &opts).unwrap();
-        let bw = gauss_seidel_backward(&a, &b, &vec![0.0; 64], &opts).unwrap();
-        assert!(fw.converged && bw.converged);
-        // symmetric matrix: identical rate up to transient effects
-        let ratio = bw.iterations as f64 / fw.iterations as f64;
-        assert!((0.8..1.25).contains(&ratio), "{} vs {}", bw.iterations, fw.iterations);
-    }
-
-    #[test]
-    fn symmetric_sweep_at_least_halves_iteration_count() {
-        let a = laplacian_2d_5pt(8);
-        let b = a.mul_vec(&vec![1.0; 64]).unwrap();
-        let opts = SolveOptions::to_tolerance(1e-10, 100_000);
-        let fw = gauss_seidel(&a, &b, &vec![0.0; 64], &opts).unwrap();
-        let sym = gauss_seidel_symmetric(&a, &b, &vec![0.0; 64], &opts).unwrap();
-        assert!(sym.converged);
-        // each SGS iteration does two sweeps; the symmetrised operator is
-        // not quite as fast as two forward sweeps, but close
-        assert!(
-            (sym.iterations as f64) <= 0.65 * fw.iterations as f64,
-            "SGS {} vs GS {}",
-            sym.iterations,
-            fw.iterations
-        );
-    }
-
-    #[test]
-    fn multicolor_matches_forward_gs_rate_on_grid() {
-        use abr_sparse::coloring::greedy_coloring;
-        let m = 10;
-        let a = laplacian_2d_5pt(m);
-        let b = a.mul_vec(&vec![1.0; m * m]).unwrap();
-        let colors = greedy_coloring(&a);
-        let opts = SolveOptions::to_tolerance(1e-10, 100_000);
-        let mc = gauss_seidel_multicolor(&a, &b, &vec![0.0; m * m], &colors, &opts).unwrap();
-        let fw = gauss_seidel(&a, &b, &vec![0.0; m * m], &opts).unwrap();
-        assert!(mc.converged && fw.converged);
-        let ratio = mc.iterations as f64 / fw.iterations as f64;
-        assert!((0.7..1.4).contains(&ratio), "MC {} vs FW {}", mc.iterations, fw.iterations);
-    }
-
-    #[test]
-    fn multicolor_converges_on_many_color_matrix() {
-        use abr_sparse::coloring::greedy_coloring;
-        let a = abr_sparse::gen::trefethen(128).unwrap();
-        let b = a.mul_vec(&vec![1.0; 128]).unwrap();
-        let colors = greedy_coloring(&a);
-        let r = gauss_seidel_multicolor(
-            &a,
-            &b,
-            &vec![0.0; 128],
-            &colors,
-            &SolveOptions::to_tolerance(1e-10, 10_000),
-        )
-        .unwrap();
-        assert!(r.converged, "residual {}", r.final_residual);
-    }
-
-    #[test]
-    fn checkerboard_alternates() {
-        let c = checkerboard(3);
-        assert_eq!(c, vec![false, true, false, true, false, true, false, true, false]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The synchronous Jacobi method (paper §2.1, Eq. 2):
 //! `x_i^{k+1} = (b_i - sum_{j != i} a_ij x_j^k) / a_ii`.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_sparse::{CsrMatrix, Result};
 
 /// Solves `A x = b` with Jacobi iterations starting from `x0`.
@@ -13,11 +13,9 @@ pub fn jacobi(a: &CsrMatrix, b: &[f64], x0: &[f64], opts: &SolveOptions) -> Resu
     let n = a.n_rows();
     let mut x = x0.to_vec();
     let mut x_new = vec![0.0; n];
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
+    let mut run = Progress::new(a, b, opts);
 
-    for _ in 0..opts.max_iters {
+    while run.running() {
         for i in 0..n {
             let mut acc = b[i];
             for (j, v) in a.row_iter(i) {
@@ -28,30 +26,9 @@ pub fn jacobi(a: &CsrMatrix, b: &[f64], x0: &[f64], opts: &SolveOptions) -> Resu
             x_new[i] = acc * inv_diag[i];
         }
         std::mem::swap(&mut x, &mut x_new);
-        iterations += 1;
-
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break; // diverged to inf/nan: stop burning cycles
-            }
-        }
+        run.step(&x);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(run.finish(x))
 }
 
 #[cfg(test)]
@@ -114,6 +91,20 @@ mod tests {
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0] * (1.0 + 1e-12));
         }
+    }
+
+    #[test]
+    fn check_every_zero_checks_every_iteration() {
+        let a = laplacian_1d(10);
+        let b = a.mul_vec(&[1.0; 10]).unwrap();
+        let opts =
+            |check_every| SolveOptions { check_every, ..SolveOptions::to_tolerance(1e-6, 5000) };
+        let zero = jacobi(&a, &b, &[0.0; 10], &opts(0)).unwrap();
+        let one = jacobi(&a, &b, &[0.0; 10], &opts(1)).unwrap();
+        assert!(one.converged);
+        assert_eq!(zero.iterations, one.iterations);
+        assert_eq!(zero.x, one.x);
+        assert_eq!(zero.final_residual.to_bits(), one.final_residual.to_bits());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! The paper's contribution: relaxation solvers for sparse linear systems
 //! `A x = b`, synchronous and (block-)asynchronous.
 //!
-//! * Synchronous baselines: [`jacobi()`], [`gauss_seidel()`] (plus
-//!   backward/symmetric/red-black/multi-colour variants),
+//! * Synchronous baselines: [`jacobi()`], forward [`gauss_seidel()`],
 //!   barrier-synchronised [`block_jacobi()`], and the Krylov baselines
 //!   [`cg`], [`pcg()`] and [`chebyshev`].
 //! * The abstract chaotic iteration of Chazan–Miranker with pluggable
@@ -19,6 +18,10 @@
 //!   [`scaled`] (paper §4.2's remedy for `s1rmt3m1`).
 //! * Extensions the paper lists as future work (§5): relaxation methods
 //!   as [`smoother`]s inside an aggregation-based [`multigrid`].
+//!
+//! Every solver loop here except the threaded async-(k) path stops,
+//! records its history and reports its final residual through one rule
+//! in [`convergence`].
 
 pub mod async_block;
 pub mod block_jacobi;
@@ -43,8 +46,5 @@ pub use block_jacobi::block_jacobi;
 pub use cg::conjugate_gradient;
 pub use pcg::pcg;
 pub use convergence::{SolveOptions, SolveResult};
-pub use gauss_seidel::{
-    gauss_seidel, gauss_seidel_backward, gauss_seidel_multicolor, gauss_seidel_red_black,
-    gauss_seidel_symmetric,
-};
+pub use gauss_seidel::gauss_seidel;
 pub use jacobi::jacobi;

@@ -9,7 +9,7 @@
 //! exhibits mesh-independent-ish convergence on the Poisson family — the
 //! point here is the *smoother comparison*, not state-of-the-art AMG.
 
-use crate::convergence::{relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{Progress, SolveOptions, SolveResult};
 use crate::smoother::Smoother;
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
@@ -77,35 +77,20 @@ impl<S: Smoother> Multigrid<S> {
     }
 
     /// Runs V-cycles until the relative residual drops below `opts.tol`
-    /// (or `opts.max_iters` cycles). Each history entry is one V-cycle.
+    /// (or `opts.max_iters` cycles). The exact residual is checked after
+    /// every cycle, whatever `opts.check_every` says; each history entry
+    /// is one V-cycle.
     pub fn solve(&self, b: &[f64], x0: &[f64], opts: &SolveOptions) -> Result<SolveResult> {
         let a = &self.levels[0].a;
         assert_eq!(b.len(), a.n_rows());
         assert_eq!(x0.len(), a.n_rows());
         let mut x = x0.to_vec();
-        let mut history = Vec::new();
-        let mut iterations = 0;
-        let mut converged = false;
-        for _ in 0..opts.max_iters {
+        let mut run = Progress::new(a, b, opts);
+        while run.running() {
             self.v_cycle(0, b, &mut x)?;
-            iterations += 1;
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
+            run.step_checked(&x);
         }
-        let final_residual = relative_residual(a, b, &x);
-        if opts.tol > 0.0 && final_residual <= opts.tol {
-            converged = true;
-        }
-        Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+        Ok(run.finish(x))
     }
 
     fn v_cycle(&self, level: usize, b: &[f64], x: &mut Vec<f64>) -> Result<()> {

@@ -9,7 +9,7 @@
 //! like a rock). [`JacobiPreconditioner`] is therefore the baseline the
 //! `fig9` experiment uses.
 
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_sparse::{blas1, CsrMatrix, DenseMatrix, Result, RowPartition, SparseError};
 
 /// A symmetric positive-definite preconditioner: `z = M^{-1} r`.
@@ -124,11 +124,10 @@ pub fn pcg<P: Preconditioner>(
     let nb = blas1::norm2(b).max(f64::MIN_POSITIVE);
     let mut rz = blas1::dot(&r, &z);
 
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = opts.tol > 0.0 && blas1::norm2(&r) / nb <= opts.tol;
+    let mut run = Progress::new(a, b, opts);
+    run.start(blas1::norm2(&r) / nb);
 
-    while iterations < opts.max_iters && !converged {
+    while run.running() {
         a.spmv(&p, &mut ap)?;
         let pap = blas1::dot(&p, &ap);
         if pap <= 0.0 || !pap.is_finite() {
@@ -142,25 +141,9 @@ pub fn pcg<P: Preconditioner>(
         let beta = rz_new / rz;
         blas1::xpay(&z, beta, &mut p);
         rz = rz_new;
-        iterations += 1;
-
-        let rr = blas1::norm2(&r) / nb;
-        if opts.record_history {
-            history.push(rr);
-        }
-        if opts.tol > 0.0 && rr <= opts.tol {
-            converged = true;
-        }
-        if !rr.is_finite() {
-            break;
-        }
+        run.step_with(blas1::norm2(&r) / nb);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(run.finish(x))
 }
 
 #[cfg(test)]

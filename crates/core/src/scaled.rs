@@ -8,7 +8,7 @@
 //! sweeps of async-(k) via [`crate::AsyncBlockSolver::damping`].
 
 use crate::async_block::AsyncBlockSolver;
-use crate::convergence::{check_system, relative_residual, SolveOptions, SolveResult};
+use crate::convergence::{check_system, Progress, SolveOptions, SolveResult};
 use abr_sparse::scaling::optimal_tau;
 use abr_sparse::{CsrMatrix, Result, SparseError};
 
@@ -28,38 +28,16 @@ pub fn damped_jacobi(
     let n = a.n_rows();
     let mut x = x0.to_vec();
     let mut r = vec![0.0; n];
-    let mut history = Vec::new();
-    let mut iterations = 0;
-    let mut converged = false;
+    let mut run = Progress::new(a, b, opts);
 
-    for _ in 0..opts.max_iters {
+    while run.running() {
         a.spmv(&x, &mut r)?;
         for i in 0..n {
             x[i] += tau * inv_diag[i] * (b[i] - r[i]);
         }
-        iterations += 1;
-        let need_residual =
-            opts.record_history || (opts.tol > 0.0 && iterations % opts.check_every == 0);
-        if need_residual {
-            let rr = relative_residual(a, b, &x);
-            if opts.record_history {
-                history.push(rr);
-            }
-            if opts.tol > 0.0 && rr <= opts.tol {
-                converged = true;
-                break;
-            }
-            if !rr.is_finite() {
-                break;
-            }
-        }
+        run.step(&x);
     }
-
-    let final_residual = relative_residual(a, b, &x);
-    if opts.tol > 0.0 && final_residual <= opts.tol {
-        converged = true;
-    }
-    Ok(SolveResult { x, iterations, converged, final_residual, history, fault: None })
+    Ok(run.finish(x))
 }
 
 /// Damped Jacobi with the optimal `tau = 2/(lambda_1 + lambda_n)`

@@ -170,12 +170,22 @@ mod tests {
         ExpOptions { scale: Scale::Small, runs: 1, seed: 42 }
     }
 
-    fn column(t: &Table, regime: &str, col: usize) -> String {
-        t.rows
+    /// One regime's cells, and the whole row as `header: cell` text so a
+    /// failed assertion names its cause.
+    fn row<'t>(t: &'t Table, regime: &str) -> (&'t [String], String) {
+        let cells = t
+            .rows
             .iter()
             .find(|r| r[0] == regime)
-            .unwrap_or_else(|| panic!("missing regime {regime}"))[col]
-            .clone()
+            .unwrap_or_else(|| panic!("missing regime {regime}"));
+        let text = t
+            .headers
+            .iter()
+            .zip(cells)
+            .map(|(h, c)| format!("{h}: {c}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        (cells, text)
     }
 
     #[test]
@@ -184,35 +194,34 @@ mod tests {
         let t = &out.table;
         assert_eq!(t.rows.len(), 2 + RECOVERY_ROUNDS.len());
 
-        assert_eq!(column(t, "fault-free", 3), "true");
+        let (cells, text) = row(t, "fault-free");
+        assert_eq!(cells[3], "true", "fault-free must converge: {text}");
         // No-recovery: frozen blocks pin the residual above tolerance and
         // the run ends Stalled, not Converged.
-        assert_eq!(column(t, "no-recovery", 3), "false");
-        assert_eq!(column(t, "no-recovery", 1), "Stalled");
-        let plateau: f64 = column(t, "no-recovery", 4).parse().unwrap();
-        assert!(plateau > 1e-6, "no-recovery must plateau above tolerance: {plateau:e}");
-        let wedged_outage: usize = column(t, "no-recovery", 8).parse().unwrap();
+        let (cells, text) = row(t, "no-recovery");
+        assert_eq!(cells[3], "false", "{text}");
+        assert_eq!(cells[1], "Stalled", "{text}");
+        let plateau: f64 = cells[4].parse().unwrap();
+        assert!(plateau > 1e-6, "no-recovery must plateau above tolerance: {text}");
+        let wedged_outage: usize = cells[8].parse().unwrap();
 
         for t_r in RECOVERY_ROUNDS {
-            let regime = format!("recovery-({t_r})");
-            assert_eq!(column(t, &regime, 3), "true", "{regime} must re-converge");
-            assert_eq!(column(t, &regime, 6), "1", "{regime} must reassign the orphaned shard");
+            let (cells, text) = row(t, &format!("recovery-({t_r})"));
+            assert_eq!(cells[3], "true", "must re-converge: {text}");
+            assert_eq!(cells[6], "1", "must reassign the orphaned shard: {text}");
             // The monotone-delay contract, on the quantity the runtime
             // controls: the shard is held back until at least `t_r`
             // floor rounds past the outage at t0 = 10, so the realised
             // release floor grows with t_r. (Raw iteration counts also
             // grow on average, but monitor poll granularity makes a
             // single sample too noisy to assert on.)
-            let released: usize = column(t, &regime, 7).parse().unwrap();
-            assert!(
-                released >= 10 + t_r,
-                "{regime} released at floor {released}, before t0 + t_r"
-            );
-            let outage: usize = column(t, &regime, 8).parse().unwrap();
-            assert!(outage >= t_r, "{regime} outage {outage} shorter than t_r");
+            let released: usize = cells[7].parse().unwrap();
+            assert!(released >= 10 + t_r, "released before t0 + t_r: {text}");
+            let outage: usize = cells[8].parse().unwrap();
+            assert!(outage >= t_r, "outage shorter than t_r: {text}");
             assert!(
                 outage < wedged_outage,
-                "{regime} outage {outage} should end before the no-recovery wedge ({wedged_outage})"
+                "outage should end before the no-recovery wedge ({wedged_outage}): {text}"
             );
         }
     }

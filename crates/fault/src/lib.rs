@@ -21,7 +21,7 @@
 //!
 //! Two realisations of the same scenario live in the workspace. The
 //! [`inject`] types here are the *analytic* model: an
-//! [`UpdateFilter`](inject::UpdateFilter) silently skips the doomed
+//! [`UpdateFilter`](abr_gpu::UpdateFilter) silently skips the doomed
 //! components of a chunked run, so outage and recovery are simulated by
 //! filtering updates — nothing actually dies. The *realised* model is
 //! `abr_gpu::FaultPlan`, which kills, hangs, or poisons live persistent

@@ -17,8 +17,8 @@
 //!   with a structured rejection instead of queueing unbounded work.
 //! * **Jobs are borrowed, not `'static`.** A solve's worker body borrows
 //!   the whole solve-local workspace from the dispatcher's stack. The
-//!   pool erases that lifetime internally ([`ErasedFn`]) and re-imposes
-//!   it structurally: [`PendingJob`] blocks until every leased worker has
+//!   pool erases that lifetime internally (`ErasedFn`) and re-imposes
+//!   it structurally: `PendingJob` blocks until every leased worker has
 //!   finished the job — in `wait` *and* in `Drop` — so the borrow can
 //!   never end while a worker still holds the pointer. `PendingJob` is
 //!   deliberately crate-private: the only way to reach `dispatch` is

@@ -119,11 +119,11 @@ impl AtomicF64Vec {
     /// the copy as a whole is *not* an atomic snapshot. Component `i`
     /// may deliver any epoch from the caller's coherence floor up to the
     /// latest, independently per component, so the result can mix epochs
-    /// across components exactly as [`snapshot`](Self::snapshot) does —
-    /// the view an asynchronous observer (the paper's host-side monitor)
-    /// gets by design. Call it after joining the writers (as the
-    /// executors do for the final iterate) and the join edges force
-    /// every component to its latest epoch, making the copy exact.
+    /// across components — the view an asynchronous observer (the
+    /// paper's host-side monitor) gets by design. Call it after joining
+    /// the writers (as the executors do for the final iterate) and the
+    /// join edges force every component to its latest epoch, making the
+    /// copy exact.
     pub fn copy_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.len(), "copy_into: length mismatch");
         for (i, o) in out.iter_mut().enumerate() {

@@ -149,7 +149,7 @@ pub struct BlockPlan {
     block_nnz: Vec<f64>,
     /// Per block: sorted indices of the other blocks it reads.
     neighbors: Vec<Vec<usize>>,
-    /// Offsets into the flattened `neighbors` — kept as Vec<Vec> for
+    /// Offsets into the flattened `neighbors` — kept as `Vec<Vec>` for
     /// simple borrowing; blocks are few compared to rows.
     widest_block: usize,
 }

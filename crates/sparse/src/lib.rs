@@ -27,7 +27,6 @@
 
 pub mod blas1;
 pub mod block_plan;
-pub mod coloring;
 pub mod coo;
 pub mod csr;
 pub mod dense;

@@ -15,7 +15,7 @@
 //! * Under the **`model` cargo feature** every load/store/CAS/fetch-op is
 //!   routed through an instrumented runtime that records
 //!   `(site, thread, ordering, value-epoch)` events and — inside a
-//!   [`model::explore_seeded`]/[`model::explore_exhaustive`] run — drives
+//!   `model::explore_seeded`/`model::explore_exhaustive` run — drives
 //!   *virtual threads* with a deterministic scheduler over a weak-memory
 //!   model: per-cell value histories, per-thread visibility views,
 //!   `Release`/`Acquire` happens-before edges, and adversarially stale
@@ -24,12 +24,12 @@
 //!   model runtime is what lets tests distinguish "`Relaxed` because the
 //!   algorithm tolerates staleness" from "`Relaxed` by accident".
 //! * Under the **`sanitize` cargo feature** the passthrough stays in
-//!   place, but every operation additionally drives the [`hb`]
+//!   place, but every operation additionally drives the `hb`
 //!   happens-before shadow state (per-thread vector clocks, per-cell
 //!   release clocks) — the runtime half of the data-plane race
 //!   sanitizer. The `model` build drives the same shadow from the
 //!   explorer's virtual threads with *exact* synchronizes-with
-//!   information. See [`hb`] for the full story.
+//!   information. See the `hb` module for the full story.
 //!
 //! ## The weak-memory model (model builds)
 //!
