@@ -262,7 +262,6 @@ impl AsyncBlockSolver {
         // Chunked driving: the executor runs a chunk of asynchronous
         // global rounds at a time; between chunks the host checks
         // convergence, exactly like the paper's host-side residual tests.
-        // The history records the iterate after every round.
         while run.running() {
             let offset = run.iterations();
             let rounds = run.chunk_len();

@@ -22,7 +22,7 @@ pub fn conjugate_gradient(
     let mut rs = blas1::dot(&r, &r);
 
     let mut run = Progress::new(a, b, opts);
-    run.start(rs.sqrt() / nb);
+    run.judge(rs.sqrt() / nb);
 
     while run.running() {
         a.spmv(&p, &mut ap)?;

@@ -161,12 +161,6 @@ impl<'a> Progress<'a> {
         self.iterations
     }
 
-    /// A Krylov method's check of its own residual at `x0`: a start that
-    /// already meets `tol` runs no iteration.
-    pub(crate) fn start(&mut self, rr: f64) {
-        self.judge(rr);
-    }
-
     /// Ends one relaxation iteration. Measures the exact residual of `x`
     /// only when the history is on, or when `tol > 0` and the iteration
     /// count is a multiple of `check_every`.
@@ -264,7 +258,9 @@ impl<'a> Progress<'a> {
     }
 
     /// The tolerance stop, and the stop on a diverged (inf/NaN) residual.
-    fn judge(&mut self, rr: f64) {
+    /// A Krylov method also calls it on its own residual at `x0`: a start
+    /// that already meets `tol` runs no iteration.
+    pub(crate) fn judge(&mut self, rr: f64) {
         if self.opts.tol > 0.0 && rr <= self.opts.tol {
             self.converged = true;
             self.stopped = true;

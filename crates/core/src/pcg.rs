@@ -125,7 +125,7 @@ pub fn pcg<P: Preconditioner>(
     let mut rz = blas1::dot(&r, &z);
 
     let mut run = Progress::new(a, b, opts);
-    run.start(blas1::norm2(&r) / nb);
+    run.judge(blas1::norm2(&r) / nb);
 
     while run.running() {
         a.spmv(&p, &mut ap)?;
