@@ -2,7 +2,6 @@
 //! structures.
 
 use abr_sparse::gen::{chem_ztz, laplacian_2d_9pt, trefethen};
-use abr_sparse::EllMatrix;
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 
 /// CSR SpMV over the fv-like 9-point, Trefethen, and Chem97ZtZ structures.
@@ -24,29 +23,6 @@ pub fn bench_spmv(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// CSR versus ELL storage on the same operator.
-pub fn bench_ell_spmv(c: &mut Criterion) {
-    let a = laplacian_2d_9pt(60);
-    let e = EllMatrix::from_csr(&a);
-    let x: Vec<f64> = (0..a.n_cols()).map(|i| 1.0 + (i as f64 * 0.01).sin()).collect();
-    let mut y = vec![0.0; a.n_rows()];
-    let mut group = c.benchmark_group("spmv_format");
-    group.throughput(Throughput::Elements(a.nnz() as u64));
-    group.bench_function("csr", |b| {
-        b.iter(|| {
-            a.spmv(black_box(&x), &mut y).expect("dims");
-            black_box(&y);
-        })
-    });
-    group.bench_function("ell", |b| {
-        b.iter(|| {
-            e.spmv(black_box(&x), &mut y).expect("dims");
-            black_box(&y);
-        })
-    });
     group.finish();
 }
 
@@ -84,7 +60,6 @@ pub fn bench_spgemm(c: &mut Criterion) {
 /// The whole suite.
 pub fn all(c: &mut Criterion) {
     bench_spmv(c);
-    bench_ell_spmv(c);
     bench_par_spmv(c);
     bench_spgemm(c);
 }

@@ -19,7 +19,7 @@
 //! for genuine hardware chaos.
 
 use crate::convergence::{
-    check_system, relative_residual_with, Progress, SolveOptions, SolveResult,
+    check_system, relative_residual_with, stop_rule, Progress, SolveOptions, SolveResult,
 };
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
@@ -85,8 +85,10 @@ pub enum ExecutorKind {
     /// Real OS threads over an atomic shared vector (non-deterministic),
     /// through the persistent-worker executor ([`abr_gpu::persistent`]):
     /// workers start once per solve, convergence is checked concurrently
-    /// by the calling thread. Records no per-round history
-    /// ([`SolveOptions::record_history`] is a sim-executor feature).
+    /// by the calling thread. A run that check stopped returns the
+    /// snapshot the check measured and reports the check's residual.
+    /// Records no per-round history ([`SolveOptions::record_history`] is
+    /// a sim-executor feature).
     Threaded(ThreadedOptions),
 }
 
@@ -297,9 +299,13 @@ impl AsyncBlockSolver {
     /// worker count with default pacing. A leased run's worker count is
     /// always the lease size.
     ///
-    /// The reported iteration count is the monitor's stop watermark; else
-    /// `max_iters` when the run drained its budget; else (cancelled,
-    /// deadline, stalled) the partial watermark the workers reached.
+    /// The result goes through the same stopping rule as every other
+    /// solve. A run the monitor stopped returns the snapshot its stopping
+    /// check measured, reports that check as its final residual, and
+    /// counts the check's watermark as its iterations. Any other run
+    /// reports `max_iters` when it drained its budget, else (cancelled,
+    /// deadline, stalled) the partial watermark the workers reached, and
+    /// its final residual is measured on the iterate it returns.
     /// [`SolveResult::fault`] holds the executor's fault report and the
     /// history stays empty.
     ///
@@ -346,23 +352,15 @@ impl AsyncBlockSolver {
             &mut ws,
             session,
         );
-        let iterations = match report.stopped_at {
-            Some(at) => at,
-            None if report.outcome == RunOutcome::Completed => opts.max_iters,
-            None => report.global_iterations,
-        };
-        let checks = std::mem::take(&mut monitor.checks);
-        let mut rbuf = monitor.into_scratch();
-        let final_residual = relative_residual_with(&mut rbuf, a, rhs, &x);
-        let converged = opts.tol > 0.0 && final_residual <= opts.tol;
-        let result = SolveResult {
-            x,
-            iterations,
-            converged,
-            final_residual,
-            history: Vec::new(),
-            fault: Some(report.fault.clone()),
-        };
+        let checks = monitor.checks;
+        let mut run = Progress::new(a, rhs, opts);
+        match report.stopped_at.and(checks.last()) {
+            Some(&(at, rr)) => run.stopped_by(at, rr),
+            None if report.outcome == RunOutcome::Completed => run.advance(opts.max_iters),
+            None => run.advance(report.global_iterations),
+        }
+        let mut result = run.finish(x);
+        result.fault = Some(report.fault.clone());
         Ok(FaultedSolve { result, trace, report, checks })
     }
 
@@ -491,9 +489,10 @@ impl BlockSchedule for OffsetSchedule<'_> {
 /// The host-side concurrent convergence check of the threaded solve
 /// ([`AsyncBlockSolver::solve_session`]): every `period` global iterations it computes the relative
 /// residual of the monitor's snapshot (through the reused scratch buffer
-/// of [`relative_residual_with`]) and stops the workers once it reaches
-/// `tol` — or once the iterate turns non-finite, the divergent regime the
-/// sim chunk loop also bails out of.
+/// of [`relative_residual_with`]) and stops the workers once it meets a
+/// `tol > 0` — or once the iterate turns non-finite, the divergent regime
+/// the sim chunk loop also bails out of. Every solver loop of this crate
+/// stops by the same rule.
 pub struct ResidualMonitor<'a> {
     a: &'a CsrMatrix,
     rhs: &'a [f64],
@@ -513,8 +512,6 @@ pub struct ResidualMonitor<'a> {
     /// the executor's pacing floor is waived so the confirming poll is
     /// not delayed by the cost of the check that almost stopped.
     urgent: bool,
-    /// `(global_iteration, relative_residual)` of the last check.
-    pub last_check: Option<(usize, f64)>,
     /// Every check the monitor performed, in order — the concurrent
     /// residual trajectory of a persistent solve (what the `recovery`
     /// experiment's re-convergence curves are plotted from). One small
@@ -571,7 +568,6 @@ impl<'a> ResidualMonitor<'a> {
             exact_only: false,
             fused_streak: 0,
             urgent: false,
-            last_check: None,
             checks: Vec::new(),
         }
     }
@@ -601,9 +597,8 @@ impl ConvergenceMonitor for ResidualMonitor<'_> {
         self.fused_streak = 0;
         let rr = relative_residual_with(&mut self.scratch, self.a, self.rhs, x);
         self.urgent = rr.is_finite() && rr <= self.tol * URGENT_BAND;
-        self.last_check = Some((global_iteration, rr));
         self.checks.push((global_iteration, rr));
-        rr <= self.tol || !rr.is_finite()
+        stop_rule(self.tol, rr).0
     }
 
     fn fused_check(&mut self, _global_iteration: usize, estimate_sq: f64) -> bool {

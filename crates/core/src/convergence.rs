@@ -58,7 +58,8 @@ pub struct SolveResult {
     pub iterations: usize,
     /// Whether the tolerance was reached within `max_iters`.
     pub converged: bool,
-    /// Final relative residual `||b - Ax||_2 / ||b||_2`.
+    /// Final relative residual `||b - Ax||_2 / ||b||_2` of [`x`](Self::x).
+    /// When a check stopped the run, it is that check's residual.
     pub final_residual: f64,
     /// Relative residual after each iteration (empty unless
     /// `record_history`, and always empty for a threaded async-(k) solve).
@@ -116,13 +117,22 @@ pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &
     }
 }
 
-/// The stopping rule every solver loop in this crate shares (the threaded
-/// async-(k) path excepted: its concurrent monitor decides there). It
-/// owns the iteration budget, when a check is due, the tolerance stop and
-/// the stop on a non-finite residual, the history, and the final residual
-/// and verdict of the [`SolveResult`]. A solver runs
+/// The stop rule of every check in this crate: a residual `rr` stops the
+/// run when it meets a tolerance `tol > 0` or is not finite (diverged).
+/// Returns `(stop, converged)`.
+pub(crate) fn stop_rule(tol: f64, rr: f64) -> (bool, bool) {
+    let converged = tol > 0.0 && rr <= tol;
+    (converged || !rr.is_finite(), converged)
+}
+
+/// The stopping rule every solver loop in this crate shares. It owns the
+/// iteration budget, when a check is due, the tolerance stop and the stop
+/// on a non-finite residual (through [`stop_rule`]), the history, and the
+/// final residual and verdict of the [`SolveResult`]. A solver runs
 /// `while run.running() { <update>; run.step…(…) }` and ends with
-/// [`finish`](Self::finish).
+/// [`finish`](Self::finish). The threaded async-(k) path, whose
+/// concurrent monitor runs the checks, reports its run through
+/// [`stopped_by`](Self::stopped_by) or [`advance`](Self::advance) instead.
 pub(crate) struct Progress<'a> {
     a: &'a CsrMatrix,
     b: &'a [f64],
@@ -238,9 +248,17 @@ impl<'a> Progress<'a> {
     }
 
     /// Counts `n` iterations; the iterate changed, so no check measured it.
-    fn advance(&mut self, n: usize) {
+    pub(crate) fn advance(&mut self, n: usize) {
         self.iterations += n;
         self.exact = None;
+    }
+
+    /// Records a run its concurrent monitor stopped at iteration `at` on a
+    /// check measuring `rr`, of the iterate the run returns.
+    pub(crate) fn stopped_by(&mut self, at: usize, rr: f64) {
+        self.iterations = at;
+        self.exact = Some(rr);
+        self.judge(rr);
     }
 
     /// Measures the exact residual of the current iterate `x` and stops on it.
@@ -261,12 +279,9 @@ impl<'a> Progress<'a> {
     /// A Krylov method also calls it on its own residual at `x0`: a start
     /// that already meets `tol` runs no iteration.
     pub(crate) fn judge(&mut self, rr: f64) {
-        if self.opts.tol > 0.0 && rr <= self.opts.tol {
-            self.converged = true;
-            self.stopped = true;
-        } else if !rr.is_finite() {
-            self.stopped = true;
-        }
+        let (stop, converged) = stop_rule(self.opts.tol, rr);
+        self.stopped |= stop;
+        self.converged |= converged;
     }
 
     fn measure(&mut self, x: &[f64]) -> f64 {

@@ -24,7 +24,6 @@
 pub mod device;
 pub mod halo;
 pub mod kernel;
-pub mod occupancy;
 pub mod persistent;
 pub mod pool;
 pub mod residual;
@@ -39,7 +38,6 @@ pub mod xview;
 pub use device::{DeviceSpec, HostSpec};
 pub use halo::HaloExchange;
 pub use kernel::{BlockKernel, BlockScratch, UpdateFilter};
-pub use occupancy::{occupancy, KernelFootprint, Occupancy, SmLimits};
 pub use persistent::{
     ConvergenceMonitor, DeathRecord, FaultKind, FaultPlan, FaultReport, FrozenSpan, NoMonitor,
     PersistentExecutor, PersistentOptions, PersistentReport, PersistentWorkspace, Reassignment,

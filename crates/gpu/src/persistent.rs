@@ -24,7 +24,8 @@
 //!   workers keep iterating*, and raises an atomic stop flag when the
 //!   check fires — a Release store paired with the workers' Acquire
 //!   loads, so the global-iteration watermark recorded at the stop is
-//!   coherent with what the stopping workers observe.
+//!   coherent with what the stopping workers observe. A stopped run
+//!   returns the snapshot that check measured.
 //!
 //! Results are non-deterministic run to run; the discrete-event
 //! simulator remains the reproducible oracle.
@@ -510,7 +511,7 @@ pub trait ConvergenceMonitor {
     /// One concurrent check: `global_iteration` is the watermark at which
     /// the check fired, `x` the snapshot taken for it (possibly mixing
     /// epochs — an asynchronous observer's view). Return `true` to stop
-    /// the workers.
+    /// the workers; the run then returns this snapshot as its iterate.
     fn check(&mut self, global_iteration: usize, x: &[f64]) -> bool;
 
     /// The fused fast path, consulted **before** [`check`](Self::check)
@@ -682,7 +683,7 @@ impl PersistentWorkspace {
             self.block_shard.extend(std::iter::repeat_n(s as u32, len));
         }
         self.shard_total.clear();
-        self.shard_total.extend(self.shard_len.iter().map(|&len| len * rounds));
+        self.shard_total.extend(self.shard_len.iter().map(|&len| len.saturating_mul(rounds)));
 
         self.cycle_rounds = rounds.clamp(1, SCHEDULE_CYCLE);
         if self.shard_tickets.len() != n_shards {
@@ -821,8 +822,11 @@ impl PersistentExecutor {
     /// `x` (in place: read as the initial iterate, overwritten with the
     /// final one), dispatching per `schedule`, committing per `filter`,
     /// with `monitor` checked concurrently on the calling thread. Stops
-    /// early when the monitor fires. The workspace is reused storage —
-    /// pass the same one across runs to avoid reallocation.
+    /// early when the monitor fires: a [`RunOutcome::Stopped`] run
+    /// returns the snapshot that stopping check measured, not the live
+    /// iterate the workers kept writing until they saw the stop. Every
+    /// other outcome returns the live iterate. The workspace is reused
+    /// storage — pass the same one across runs to avoid reallocation.
     ///
     /// The [`RunSession`] carries the rest:
     ///
@@ -986,7 +990,12 @@ impl PersistentExecutor {
             lag,
             report.fault.max_outage_rounds
         );
-        xa.copy_into(x);
+        // No poll runs after the stop, so a stopped run's snapshot is
+        // still the iterate its stopping check measured.
+        match report.outcome {
+            RunOutcome::Stopped => x.copy_from_slice(snap),
+            _ => xa.copy_into(x),
+        }
         (trace, report)
     }
 }
@@ -2058,17 +2067,20 @@ mod tests {
         assert_eq!(report.stopped_at, None);
     }
 
+    /// Checks every round and stops at the first watermark past its own.
+    struct StopAt(usize);
+
+    impl ConvergenceMonitor for StopAt {
+        fn period(&self) -> usize {
+            1
+        }
+        fn check(&mut self, gi: usize, _x: &[f64]) -> bool {
+            gi >= self.0
+        }
+    }
+
     #[test]
     fn monitor_stop_flag_halts_workers_early() {
-        struct StopAt(usize);
-        impl ConvergenceMonitor for StopAt {
-            fn period(&self) -> usize {
-                1
-            }
-            fn check(&mut self, gi: usize, _x: &[f64]) -> bool {
-                gi >= self.0
-            }
-        }
         let mut monitor = StopAt(5);
         let (_, trace, report) = run_consensus(2, 10_000, &mut monitor);
         let at = report.stopped_at.expect("monitor must fire");
@@ -2079,6 +2091,90 @@ mod tests {
             trace.total_updates()
         );
         assert!(report.checks >= 1);
+    }
+
+    /// A kernel with no fixed point: every update adds one to each of its
+    /// block's components, so every commit changes the iterate. It counts
+    /// the updates it computed.
+    struct Drift<'a> {
+        updates: &'a std::sync::Mutex<usize>,
+    }
+
+    impl BlockKernel for Drift<'_> {
+        fn n(&self) -> usize {
+            48
+        }
+        fn n_blocks(&self) -> usize {
+            12
+        }
+        fn block_range(&self, b: usize) -> (usize, usize) {
+            (4 * b, 4 * b + 4)
+        }
+        fn update_block(&self, b: usize, x: &XView<'_>, out: &mut [f64]) {
+            for (o, i) in out.iter_mut().zip(4 * b..) {
+                *o = x.get(i) + 1.0;
+            }
+            *self.updates.lock().unwrap() += 1;
+        }
+    }
+
+    /// The workers keep committing after the stopping check's snapshot;
+    /// the run must return that snapshot, not the live iterate.
+    #[test]
+    fn a_stopped_run_returns_the_snapshot_its_check_measured() {
+        const WORKERS: usize = 2;
+        /// Stops at its first check, keeps the snapshot it was given, and
+        /// returns only after the workers provably committed past it:
+        /// more updates than workers computed since, so some worker
+        /// committed one and started the next.
+        struct StopAndWait<'a> {
+            updates: &'a std::sync::Mutex<usize>,
+            snapshot: Vec<f64>,
+        }
+        impl ConvergenceMonitor for StopAndWait<'_> {
+            fn period(&self) -> usize {
+                5
+            }
+            fn check(&mut self, _gi: usize, x: &[f64]) -> bool {
+                self.snapshot = x.to_vec();
+                let seen = *self.updates.lock().unwrap();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while *self.updates.lock().unwrap() <= seen + WORKERS {
+                    assert!(Instant::now() < deadline, "the workers stopped updating");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                true
+            }
+        }
+        let updates = std::sync::Mutex::new(0);
+        let mut monitor = StopAndWait { updates: &updates, snapshot: Vec::new() };
+        let mut x = vec![0.0; 48];
+        let exec = PersistentExecutor::new(PersistentOptions {
+            n_workers: WORKERS,
+            ..PersistentOptions::default()
+        });
+        let (_, report) = exec.run_session(
+            &Drift { updates: &updates },
+            &mut x,
+            1_000_000,
+            &mut RandomPermutation::new(11),
+            &AllowAll,
+            &mut monitor,
+            &mut PersistentWorkspace::new(),
+            RunSession::default(),
+        );
+        assert_eq!(report.outcome, RunOutcome::Stopped);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&monitor.snapshot));
+    }
+
+    /// A `usize::MAX` budget (a pooled request may carry up to 2^53)
+    /// neither overflows the per-shard ticket totals nor keeps the
+    /// monitor from stopping the run.
+    #[test]
+    fn an_unbounded_round_budget_still_stops() {
+        let (_, _, report) = run_consensus(2, usize::MAX, &mut StopAt(5));
+        assert_eq!(report.outcome, RunOutcome::Stopped);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   [`Response::Overloaded`] carrying a `retry_after_ms` hint derived
 //!   from an EWMA of recent solve wall-times. A pooled request that
 //!   cannot obtain its lease within `admission_timeout_ms` is shed the
-//!   same way. Requests larger than `max_rows` are rejected with a typed
-//!   [`Response::Failed`] (retrying cannot help those).
+//!   same way. Requests larger than `max_rows`, or whose `tol` is not
+//!   finite and > 0, are rejected with a typed [`Response::Failed`]
+//!   (retrying cannot help those).
 //! * **Deadlines and cancellation** — each request gets a
 //!   [`CancelToken`] (deadline from `deadline_ms`, cancel from a
 //!   `cancel` frame on any connection); the executor's monitor loop
@@ -623,9 +624,14 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
     resp
 }
 
-/// Builds the request's system and right-hand side; every error is a
-/// validation failure that retrying cannot fix.
+/// Checks the request's tolerance and builds its system and right-hand
+/// side; every error is a validation failure that retrying cannot fix.
+/// A solve stops on its tolerance, so one that is not finite and > 0
+/// would run the whole `max_iters` budget.
 fn load_system(spec: &SolveSpec, max_rows: usize) -> Result<(CsrMatrix, Vec<f64>), String> {
+    if !(spec.tol.is_finite() && spec.tol > 0.0) {
+        return Err(format!("tol must be finite and > 0, got {}", spec.tol));
+    }
     let n = spec.matrix.n_rows();
     if n == 0 {
         return Err("empty system".into());

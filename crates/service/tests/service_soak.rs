@@ -623,3 +623,26 @@ fn deeply_nested_frame_fails_typed_and_the_daemon_survives() {
     let report = daemon.shutdown(Duration::from_secs(5));
     assert_eq!(report.counters.completed, 1);
 }
+
+/// A tolerance no solve can meet would run the whole budget: a sim solve
+/// of `max_iters` 10^15 would size its dispatch lists for every round and
+/// abort the daemon. It fails typed instead, and the daemon keeps serving.
+#[test]
+fn a_tolerance_no_solve_can_meet_fails_typed_and_the_daemon_survives() {
+    let daemon = Daemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() }).unwrap();
+    let client = Client::new(daemon.addr());
+    let hostile = SolveSpec { tol: 0.0, max_iters: 1_000_000_000_000_000, ..sim_spec(1, 8, 5, 5) };
+    match client.solve_once(&hostile).unwrap() {
+        Response::Failed { id, error } => {
+            assert_eq!(id, 1);
+            assert!(error.contains("tol"), "{error}");
+        }
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    match client.solve_once(&sim_spec(2, 8, 5, 5)).unwrap() {
+        Response::Done { converged, .. } => assert!(converged),
+        other => panic!("the daemon must keep serving, got {other:?}"),
+    }
+    let report = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!((report.counters.failed, report.counters.completed), (1, 1));
+}

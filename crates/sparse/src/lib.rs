@@ -7,9 +7,9 @@
 //! This crate provides everything the relaxation solvers in `abr-core` need
 //! from a linear-algebra library:
 //!
-//! * matrix formats ([`CooMatrix`], [`CsrMatrix`], [`DenseMatrix`], the
-//!   GPU-layout [`EllMatrix`]) with conversions, transposition, and
-//!   sparse matrix–matrix products ([`csr::CsrMatrix::spgemm`]),
+//! * matrix formats ([`CooMatrix`], [`CsrMatrix`], [`DenseMatrix`]) with
+//!   conversions, transposition, and sparse matrix–matrix products
+//!   ([`csr::CsrMatrix::spgemm`]),
 //! * level-1 vector kernels ([`blas1`]),
 //! * deterministic generators reproducing the structure and iteration-matrix
 //!   properties of the University of Florida test matrices used by the paper
@@ -30,7 +30,6 @@ pub mod block_plan;
 pub mod coo;
 pub mod csr;
 pub mod dense;
-pub mod ell;
 pub mod gen;
 pub mod io;
 pub mod iteration_matrix;
@@ -47,7 +46,6 @@ pub use block_plan::{BlockEll, BlockPlan, SweepTier};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use ell::EllMatrix;
 pub use iteration_matrix::IterationMatrix;
 pub use par::ParContext;
 pub use partition::RowPartition;

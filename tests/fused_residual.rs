@@ -327,7 +327,7 @@ impl ConvergenceMonitor for AuditMonitor<'_> {
     }
     fn check(&mut self, gi: usize, x: &[f64]) -> bool {
         let stop = self.inner.check(gi, x);
-        let exact = self.inner.last_check.expect("just checked").1;
+        let exact = self.inner.checks.last().expect("just checked").1;
         if let Some(est) = self.pending.take() {
             if exact > 0.0 && est > 0.0 {
                 self.worst_ratio = self.worst_ratio.max((est / exact).max(exact / est));

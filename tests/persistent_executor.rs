@@ -1,6 +1,7 @@
 //! Acceptance tests for the persistent-worker executor: the threaded
 //! solver path must reach the same tolerance as the discrete-event
-//! simulator on the paper's model problems; the asynchronous convergence
+//! simulator on the paper's model problems, and a run its monitor stopped
+//! must report the check that stopped it; the asynchronous convergence
 //! monitor must halt the workers strictly before the round budget when
 //! the tolerance is loose; and a solve must spawn each worker exactly
 //! once and perform no full-vector copies after start beyond the
@@ -10,6 +11,7 @@
 //! and leased pools alike, without hanging it.
 
 use block_async_relax::core::async_block::AsyncJacobiKernel;
+use block_async_relax::core::convergence::relative_residual;
 use block_async_relax::core::{AsyncBlockSolver, ExecutorKind, ResidualMonitor, SolveOptions};
 use block_async_relax::gpu::kernel::AllowAll;
 use block_async_relax::gpu::schedule::RoundRobin;
@@ -95,6 +97,61 @@ fn threaded_matches_sim_tolerance_on_trefethen_400() {
     assert!(rt.converged, "threaded did not converge: {}", run_summary(&rt));
     assert!(rel_residual(&a, &b, &rs.x) <= tol, "sim residual above tol");
     assert!(rel_residual(&a, &b, &rt.x) <= tol, "threaded residual above tol");
+}
+
+/// A threaded run its monitor stopped returns the snapshot that check
+/// measured: it is converged, and its final residual, its stopping check
+/// and the residual of the returned iterate agree bit for bit. A run that
+/// drains its budget reports the residual of the iterate it returns.
+#[test]
+fn a_stopped_threaded_solve_reports_the_check_that_stopped_it() {
+    let systems =
+        [(laplacian_2d_5pt(10), 10, 1e-8), (trefethen(400).expect("trefethen"), 25, 1e-10)];
+    for (a, block, tol) in &systems {
+        let n = a.n_rows();
+        let b = a.mul_vec(&vec![1.0; n]).expect("square");
+        let x0 = vec![0.0; n];
+        let p = RowPartition::uniform(n, *block).expect("partition");
+        let kernel = AsyncJacobiKernel::new(a, &b, &p, 5, 1.0).expect("diag dominant");
+        let solve = |workers: usize, opts: &SolveOptions| {
+            let solver = AsyncBlockSolver {
+                executor: ExecutorKind::Threaded(ThreadedOptions {
+                    n_workers: workers,
+                    snapshot_rounds: false,
+                }),
+                ..AsyncBlockSolver::async_k(5)
+            };
+            solver
+                .solve_session(a, &b, &x0, &kernel, opts, &AllowAll, None, RunSession::default())
+                .expect("solve")
+        };
+        let to_tol =
+            SolveOptions { max_iters: 20_000, tol: *tol, record_history: false, check_every: 10 };
+        for workers in [1, 2, 4] {
+            let mut stopped = 0;
+            for _ in 0..7 {
+                let fs = solve(workers, &to_tol);
+                let r = &fs.result;
+                let exact = relative_residual(a, &b, &r.x).to_bits();
+                assert_eq!(r.final_residual.to_bits(), exact, "{}", run_summary(r));
+                if fs.report.outcome == RunOutcome::Stopped {
+                    stopped += 1;
+                    let check = fs.checks.last().expect("a stop is a check").1;
+                    assert!(r.converged, "{workers} workers: {}", run_summary(r));
+                    assert_eq!(check.to_bits(), exact, "{workers} workers: {}", run_summary(r));
+                }
+            }
+            assert!(stopped > 0, "n = {n}, {workers} workers: no run stopped");
+        }
+        let unreachable = SolveOptions { tol: 1e-30, max_iters: 200, ..to_tol };
+        let fs = solve(2, &unreachable);
+        assert_eq!(fs.report.outcome, RunOutcome::Completed);
+        assert!(!fs.result.converged);
+        assert_eq!(
+            fs.result.final_residual.to_bits(),
+            relative_residual(a, &b, &fs.result.x).to_bits()
+        );
+    }
 }
 
 /// With a loose tolerance and a huge round budget, the monitor's stop
