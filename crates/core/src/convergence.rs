@@ -236,7 +236,7 @@ impl<'a> Progress<'a> {
             Some(rr) => rr,
             None => self.measure(&x),
         };
-        let converged = self.converged || (self.opts.tol > 0.0 && final_residual <= self.opts.tol);
+        let converged = self.converged || stop_rule(self.opts.tol, final_residual).1;
         SolveResult {
             x,
             iterations: self.iterations,
@@ -254,11 +254,11 @@ impl<'a> Progress<'a> {
     }
 
     /// Records a run its concurrent monitor stopped at iteration `at` on a
-    /// check measuring `rr`, of the iterate the run returns.
+    /// check measuring `rr`, of the iterate the run returns; [`finish`](Self::finish)
+    /// judges it.
     pub(crate) fn stopped_by(&mut self, at: usize, rr: f64) {
         self.iterations = at;
         self.exact = Some(rr);
-        self.judge(rr);
     }
 
     /// Measures the exact residual of the current iterate `x` and stops on it.
