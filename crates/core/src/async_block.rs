@@ -25,9 +25,9 @@ use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
 use abr_gpu::{
     BlockKernel, BlockScratch, CancelToken, ConvergenceMonitor, FaultPlan, Lease,
-    PersistentExecutor, PersistentOptions, PersistentWorkspace, RandomPermutation,
-    RecurringPattern, RoundRobin, RunOutcome, RunSession, SimExecutor, SimOptions,
-    ThreadedOptions, UpdateFilter, UpdateTrace, WorkerPool, XView,
+    PersistentExecutor, PersistentOptions, PersistentReport, PersistentWorkspace,
+    RandomPermutation, RecurringPattern, RoundRobin, RunOutcome, RunSession, SimExecutor,
+    SimOptions, ThreadedOptions, UpdateFilter, UpdateTrace, WorkerPool, XView,
 };
 use abr_sparse::block_plan::BlockEll;
 use abr_sparse::simd::{f64x4, LANES};
@@ -173,7 +173,9 @@ impl AsyncBlockSolver {
 
     /// Solves with an [`UpdateFilter`] deciding which updates commit —
     /// the fault-injection entry point used by `abr-fault`. Filter rounds
-    /// are global-iteration indices from the start of the solve.
+    /// are global-iteration indices from the start of the solve. Compiles
+    /// the kernel and runs [`solve_session`](Self::solve_session) with a
+    /// default session.
     pub fn solve_filtered(
         &self,
         a: &CsrMatrix,
@@ -184,7 +186,8 @@ impl AsyncBlockSolver {
         filter: &dyn UpdateFilter,
     ) -> Result<SolveResult> {
         let kernel = self.kernel(a, rhs, partition, None)?;
-        self.solve_with_kernel(a, rhs, x0, &kernel, opts, filter)
+        self.solve_session(a, rhs, x0, &kernel, opts, filter, None, RunSession::default())
+            .map(|solved| solved.result)
     }
 
     /// Solves with a verified [`StencilDescriptor`] enabling the
@@ -192,7 +195,10 @@ impl AsyncBlockSolver {
     /// stencil operators (the `gen::*_stencil` generators return the
     /// `(matrix, descriptor)` pair). Numerically identical to
     /// [`solve`](Self::solve): the stencil tier is bit-compatible with
-    /// the stored-matrix tiers, only faster.
+    /// the stored-matrix tiers, only faster. Compiles the kernel with the
+    /// stencil tier and runs [`solve_session`](Self::solve_session) with a
+    /// default session; its only caller outside tests is the repo
+    /// benchmark, and it goes with the benchmark's next change.
     pub fn solve_with_stencil(
         &self,
         a: &CsrMatrix,
@@ -203,7 +209,8 @@ impl AsyncBlockSolver {
         opts: &SolveOptions,
     ) -> Result<SolveResult> {
         let kernel = self.kernel(a, rhs, partition, Some(descriptor))?;
-        self.solve_with_kernel(a, rhs, x0, &kernel, opts, &AllowAll)
+        self.solve_session(a, rhs, x0, &kernel, opts, &AllowAll, None, RunSession::default())
+            .map(|solved| solved.result)
     }
 
     /// Compiles this solver's kernel (its `k`, damping and sweep type)
@@ -228,90 +235,48 @@ impl AsyncBlockSolver {
         )
     }
 
-    /// Solves with an already-compiled kernel. This lets callers that
-    /// need the kernel for other purposes (e.g. `abr-multigpu` feeds
-    /// [`AsyncJacobiKernel::nnz_local`] to the timing model) compile the
-    /// block plan once instead of once per use. The kernel's numerics
-    /// (`k`, damping, sweep type) are its own; `self` contributes the
-    /// schedule and the executor. A threaded solve goes through
-    /// [`solve_session`](Self::solve_session); a sim solve is driven in
-    /// chunks of `check_every` rounds with a host-side residual check
-    /// between chunks.
-    pub fn solve_with_kernel(
-        &self,
-        a: &CsrMatrix,
-        rhs: &[f64],
-        x0: &[f64],
-        kernel: &AsyncJacobiKernel<'_>,
-        opts: &SolveOptions,
-        filter: &dyn UpdateFilter,
-    ) -> Result<SolveResult> {
-        check_system(a, rhs, x0);
-        assert!(self.local_iters >= 1, "async-(k) needs k >= 1");
-        let sim_opts = match &self.executor {
-            ExecutorKind::Sim(sim_opts) => sim_opts,
-            ExecutorKind::Threaded(_) => {
-                let session = RunSession::default();
-                return self
-                    .solve_session(a, rhs, x0, kernel, opts, filter, None, session)
-                    .map(|solved| solved.result);
-            }
-        };
-        let mut schedule = self.schedule.build();
-        let mut x = x0.to_vec();
-        let mut run = Progress::new(a, rhs, opts);
-
-        // Chunked driving: the executor runs a chunk of asynchronous
-        // global rounds at a time; between chunks the host checks
-        // convergence, exactly like the paper's host-side residual tests.
-        while run.running() {
-            let offset = run.iterations();
-            let rounds = run.chunk_len();
-            let offset_filter = OffsetFilter { inner: filter, offset };
-            let mut offset_schedule = OffsetSchedule { inner: schedule.as_mut(), offset };
-            let exec = SimExecutor::new(SimOptions {
-                // decorrelate chunk seeds while staying reproducible
-                seed: sim_opts.seed.wrapping_add(offset as u64),
-                ..sim_opts.clone()
-            });
-            exec.run(kernel, &mut x, rounds, &mut offset_schedule, &offset_filter, |_k, xk| {
-                run.observe(xk)
-            });
-            run.chunk_done(rounds, &x);
-        }
-        Ok(run.finish(x))
-    }
-
-    /// The threaded solve path: every real-thread solve runs here. It
-    /// runs the persistent-worker executor against the whole `max_iters`
-    /// budget and checks convergence *concurrently* through a
-    /// [`ResidualMonitor`] every `check_every` global iterations — the
-    /// paper's host watching the racy iterate while the device keeps
-    /// updating.
+    /// The one async-(k) solve driver: every solve runs here, on the arm
+    /// [`executor`](Self::executor) names. The kernel is compiled by the
+    /// caller, so one that needs it for other purposes (`abr-multigpu`
+    /// feeds [`AsyncJacobiKernel::nnz_local`] to the timing model)
+    /// compiles the block plan once. The kernel's numerics (`k`, damping,
+    /// sweep type) are its own; `self` contributes the schedule and the
+    /// executor.
     ///
-    /// `session` carries the executor context: a device shard plan and
-    /// staged halo (the multi-GPU solver), a live [`FaultPlan`] (§4.5
-    /// realised: workers really die, hang or go panicky, and
-    /// recovery-(t_r) reassigns orphaned shards), a request-scoped
-    /// [`CancelToken`], and a pool lease; with no lease the run gets a
-    /// transient pool. `tuning` overrides the executor options (lag gate,
-    /// detection and stall pacing); `None` takes the solver's threaded
-    /// worker count with default pacing. A leased run's worker count is
-    /// always the lease size.
+    /// * **Sim arm.** The seeded simulator runs chunks of `check_every`
+    ///   rounds (the whole budget when `tol` is 0) on the calling thread,
+    ///   with a host-side residual check after each chunk. Before each
+    ///   chunk it polls `session.cancel`. The trace folds every chunk's
+    ///   trace, `checks` holds the chunk checks, the report fills
+    ///   `outcome`, `stopped_at`, `global_iterations` and `checks`, and
+    ///   [`SolveResult::fault`] stays `None`.
+    /// * **Threaded arm.** The persistent-worker executor runs against
+    ///   the whole `max_iters` budget while a [`ResidualMonitor`] checks
+    ///   the racy iterate *concurrently* every `check_every` global
+    ///   iterations. `session` carries a device shard plan and staged
+    ///   halo (the multi-GPU solver), a live [`FaultPlan`] (§4.5 realised:
+    ///   workers really die, hang or go panicky, and recovery-(t_r)
+    ///   reassigns orphaned shards), a request-scoped [`CancelToken`], and
+    ///   a pool lease (else the run gets a transient pool, and a leased
+    ///   run's worker count is the lease size). `tuning` overrides the
+    ///   executor options; `None` takes the threaded worker count with
+    ///   default pacing. [`SolveResult::fault`] holds the fault report and
+    ///   the history stays empty.
     ///
-    /// The result goes through the same stopping rule as every other
-    /// solve. A run the monitor stopped returns the snapshot its stopping
-    /// check measured, reports that check as its final residual, and
-    /// counts the check's watermark as its iterations. Any other run
-    /// reports `max_iters` when it drained its budget, else (cancelled,
-    /// deadline, stalled) the partial watermark the workers reached, and
-    /// its final residual is measured on the iterate it returns.
-    /// [`SolveResult::fault`] holds the executor's fault report and the
-    /// history stays empty.
+    /// Both arms end through the stopping rule every solve shares. A run a
+    /// check stopped reports that check as its final residual and its
+    /// watermark as its iterations (the threaded arm returns the snapshot
+    /// the check measured). Any other run reports `max_iters` when it
+    /// drained its budget, else (cancelled, deadline, stalled) the partial
+    /// watermark it reached, and its final residual is measured on the
+    /// iterate it returns.
     ///
     /// # Panics
     ///
-    /// As [`PersistentExecutor::run_session`]: when a worker body unwinds
+    /// When `self.local_iters` is 0. On the sim arm, when `tuning` or any
+    /// session field other than `cancel` is given: shards, halos, live
+    /// faults and leases need real threads. On the threaded arm, as
+    /// [`PersistentExecutor::run_session`]: when a worker body unwinds
     /// outside the per-sweep `catch_unwind`, or the monitor panics.
     #[allow(clippy::too_many_arguments)] // the solve's inputs plus executor context
     pub fn solve_session(
@@ -326,62 +291,103 @@ impl AsyncBlockSolver {
         session: RunSession<'_>,
     ) -> Result<FaultedSolve> {
         check_system(a, rhs, x0);
-        let exec_opts = match (tuning, &self.executor) {
-            (Some(t), _) => t.clone(),
-            (None, ExecutorKind::Threaded(t)) => {
-                PersistentOptions { n_workers: t.n_workers, ..PersistentOptions::default() }
-            }
-            (None, ExecutorKind::Sim(_)) => PersistentOptions {
-                n_workers: ThreadedOptions::default().n_workers,
-                ..PersistentOptions::default()
-            },
-        };
-        let exec = PersistentExecutor::new(exec_opts);
+        assert!(self.local_iters >= 1, "async-(k) needs k >= 1");
         let mut schedule = self.schedule.build();
-        let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
-        let mut monitor = ResidualMonitor::new(a, rhs, opts.tol, period);
-        let mut ws = PersistentWorkspace::new();
         let mut x = x0.to_vec();
-        let (trace, report) = exec.run_session(
-            kernel,
-            &mut x,
-            opts.max_iters,
-            schedule.as_mut(),
-            filter,
-            &mut monitor,
-            &mut ws,
-            session,
-        );
-        let checks = monitor.checks;
         let mut run = Progress::new(a, rhs, opts);
-        match report.stopped_at.and(checks.last()) {
-            Some(&(at, rr)) => run.stopped_by(at, rr),
-            None if report.outcome == RunOutcome::Completed => run.advance(opts.max_iters),
-            None => run.advance(report.global_iterations),
+        match &self.executor {
+            ExecutorKind::Sim(sim_opts) => {
+                let RunSession { shards, halo, faults, cancel, pool } = session;
+                assert!(
+                    tuning.is_none()
+                        && shards.is_none()
+                        && halo.is_none()
+                        && faults.is_none()
+                        && pool.is_none(),
+                    "a sim solve takes only a cancel token: executor tuning, shards, halos, \
+                     live faults and leases need real threads"
+                );
+                let mut trace = UpdateTrace::new(kernel.n_blocks());
+                let mut report = PersistentReport::default();
+                let mut checks = Vec::new();
+
+                // Chunked driving: the executor runs a chunk of asynchronous
+                // global rounds at a time; between chunks the host checks
+                // convergence, exactly like the paper's host-side residual tests.
+                while run.running() {
+                    if let Some(cause) = cancel.and_then(CancelToken::should_stop) {
+                        report.outcome = cause.into();
+                        break;
+                    }
+                    let offset = run.iterations();
+                    let rounds = run.chunk_len();
+                    let offset_filter = OffsetFilter { inner: filter, offset };
+                    let mut offset_schedule = OffsetSchedule { inner: schedule.as_mut(), offset };
+                    let exec = SimExecutor::new(SimOptions {
+                        // decorrelate chunk seeds while staying reproducible
+                        seed: sim_opts.seed.wrapping_add(offset as u64),
+                        ..sim_opts.clone()
+                    });
+                    let chunk = exec.run(
+                        kernel,
+                        &mut x,
+                        rounds,
+                        &mut offset_schedule,
+                        &offset_filter,
+                        |_k, xk| run.observe(xk),
+                    );
+                    trace.absorb(&chunk);
+                    if let Some(rr) = run.chunk_done(rounds, &x) {
+                        checks.push((run.iterations(), rr));
+                    }
+                }
+                if run.stopped() {
+                    report.outcome = RunOutcome::Stopped;
+                    report.stopped_at = Some(run.iterations());
+                }
+                report.global_iterations = run.iterations();
+                report.checks = checks.len();
+                Ok(FaultedSolve { result: run.finish(x), trace, report, checks })
+            }
+            ExecutorKind::Threaded(threads) => {
+                let exec = PersistentExecutor::new(tuning.cloned().unwrap_or_else(|| {
+                    PersistentOptions { n_workers: threads.n_workers, ..Default::default() }
+                }));
+                let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
+                let mut monitor = ResidualMonitor::new(a, rhs, opts.tol, period);
+                let mut ws = PersistentWorkspace::new();
+                let (trace, report) = exec.run_session(
+                    kernel,
+                    &mut x,
+                    opts.max_iters,
+                    schedule.as_mut(),
+                    filter,
+                    &mut monitor,
+                    &mut ws,
+                    session,
+                );
+                let checks = monitor.checks;
+                match report.stopped_at.and(checks.last()) {
+                    Some(&(at, rr)) => run.stopped_by(at, rr),
+                    None if report.outcome == RunOutcome::Completed => run.advance(opts.max_iters),
+                    None => run.advance(report.global_iterations),
+                }
+                let mut result = run.finish(x);
+                result.fault = Some(report.fault.clone());
+                Ok(FaultedSolve { result, trace, report, checks })
+            }
         }
-        let mut result = run.finish(x);
-        result.fault = Some(report.fault.clone());
-        Ok(FaultedSolve { result, trace, report, checks })
     }
 
-    /// The multi-tenant solve: runs on threads **leased from a shared
-    /// [`WorkerPool`]**, so many concurrent solves multiplex one
-    /// long-lived set of workers — the solve-service execution path. The
-    /// shards are the even split over the lease size, so a request's
-    /// parallelism is exactly what admission control granted it.
-    ///
-    /// `run.cancel` wires a request-scoped [`CancelToken`] (client
-    /// cancellation and/or deadline) into the monitor loop: within one
-    /// monitor poll of the token firing, the run raises the ordinary
-    /// Release stop flag, the leased workers drain, and the lease returns
-    /// to the pool. The outcome is `FaultedSolve.report.outcome`
-    /// ([`abr_gpu::RunOutcome::Cancelled`] /
-    /// [`abr_gpu::RunOutcome::DeadlineExceeded`]), with
-    /// `result.iterations` the *partial* global-iteration watermark.
-    /// `run.faults` optionally injects a chaos [`FaultPlan`] — the
-    /// service's `--chaos` mode — contained to this request by the
-    /// per-sweep `catch_unwind`. Runs through
-    /// [`solve_session`](Self::solve_session).
+    /// The multi-tenant solve on threads **leased from a shared
+    /// [`WorkerPool`]**: the shards are the even split over the lease, so
+    /// a request's parallelism is what admission control granted it. It
+    /// compiles the kernel and runs the threaded arm of
+    /// [`solve_session`](Self::solve_session) whatever `self.executor`
+    /// says, with `run.exec_opts` as the tuning and the lease, `run.cancel`
+    /// and `run.faults` as the session. Only the repo benchmark calls it;
+    /// it goes with the benchmark's next change, as
+    /// [`PersistentExecutor::run_sharded`] does.
     pub fn solve_leased(
         &self,
         a: &CsrMatrix,
@@ -392,13 +398,16 @@ impl AsyncBlockSolver {
         run: LeasedRun<'_>,
     ) -> Result<FaultedSolve> {
         let kernel = self.kernel(a, rhs, partition, None)?;
+        let threads =
+            ThreadedOptions { n_workers: run.exec_opts.n_workers, snapshot_rounds: false };
+        let solver = AsyncBlockSolver { executor: ExecutorKind::Threaded(threads), ..self.clone() };
         let session = RunSession {
             faults: run.faults,
             cancel: run.cancel,
             pool: Some((run.pool, run.lease)),
             ..RunSession::default()
         };
-        self.solve_session(a, rhs, x0, &kernel, opts, &AllowAll, Some(&run.exec_opts), session)
+        solver.solve_session(a, rhs, x0, &kernel, opts, &AllowAll, Some(&run.exec_opts), session)
     }
 }
 
@@ -486,8 +495,8 @@ impl BlockSchedule for OffsetSchedule<'_> {
     }
 }
 
-/// The host-side concurrent convergence check of the threaded solve
-/// ([`AsyncBlockSolver::solve_session`]): every `period` global iterations it computes the relative
+/// The host-side concurrent convergence check of the threaded arm of
+/// [`AsyncBlockSolver::solve_session`]: every `period` global iterations it computes the relative
 /// residual of the monitor's snapshot (through the reused scratch buffer
 /// of [`relative_residual_with`]) and stops the workers once it meets a
 /// `tol > 0` — or once the iterate turns non-finite, the divergent regime
@@ -1534,7 +1543,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_kernel_reuses_a_compiled_kernel() {
+    fn solve_session_reuses_a_compiled_kernel() {
         let (a, rhs, _) = solve_setup(8);
         let n = a.n_rows();
         let p = RowPartition::uniform(n, 16).unwrap();
@@ -1542,11 +1551,70 @@ mod tests {
         let kernel =
             AsyncJacobiKernel::with_sweep(&a, &rhs, &p, 5, 1.0, LocalSweep::Jacobi).unwrap();
         let opts = SolveOptions::fixed_iterations(40);
+        let session = RunSession::default();
         let via_kernel = solver
-            .solve_with_kernel(&a, &rhs, &vec![0.0; n], &kernel, &opts, &AllowAll)
+            .solve_session(&a, &rhs, &vec![0.0; n], &kernel, &opts, &AllowAll, None, session)
             .unwrap();
         let direct = solver.solve(&a, &rhs, &vec![0.0; n], &p, &opts).unwrap();
-        assert_eq!(via_kernel.x, direct.x);
+        assert_eq!(via_kernel.result.x, direct.x);
+        assert_eq!(via_kernel.report.outcome, RunOutcome::Completed);
+        assert_eq!(via_kernel.trace.total_updates(), 40 * kernel.n_blocks());
+        assert!(via_kernel.checks.is_empty(), "a fixed-budget solve checks nothing");
+    }
+
+    /// Runs the sim arm of `solve_session` on a 10x10 Laplacian in blocks
+    /// of 10 rows under `session`.
+    fn sim_session(opts: &SolveOptions, session: RunSession<'_>) -> (FaultedSolve, usize) {
+        let (a, rhs, _) = solve_setup(10);
+        let n = a.n_rows();
+        let p = RowPartition::uniform(n, 10).unwrap();
+        let kernel = AsyncJacobiKernel::new(&a, &rhs, &p, 5, 1.0).unwrap();
+        let solver = AsyncBlockSolver::async_k(5);
+        let x0 = vec![0.25; n];
+        let solved =
+            solver.solve_session(&a, &rhs, &x0, &kernel, opts, &AllowAll, None, session).unwrap();
+        (solved, kernel.n_blocks())
+    }
+
+    #[test]
+    fn sim_session_honours_a_fired_token_before_the_first_chunk() {
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = SolveOptions::to_tolerance(1e-30, 100_000);
+        let session = RunSession { cancel: Some(&token), ..RunSession::default() };
+        let (solved, _) = sim_session(&opts, session);
+        assert_eq!(solved.report.outcome, RunOutcome::Cancelled);
+        assert_eq!(solved.result.iterations, 0);
+        assert_eq!(solved.report.global_iterations, 0);
+        assert_eq!(solved.result.x, vec![0.25; 100]);
+        assert_eq!(solved.trace.total_updates(), 0);
+        assert!(solved.checks.is_empty());
+        assert!(solved.result.fault.is_none());
+    }
+
+    #[test]
+    fn sim_session_reports_its_stop_checks_and_trace() {
+        let opts = SolveOptions::to_tolerance(1e-8, 100_000);
+        let (solved, n_blocks) = sim_session(&opts, RunSession::default());
+        let (r, report) = (&solved.result, &solved.report);
+        assert!(r.converged, "residual {}", r.final_residual);
+        assert_eq!(report.outcome, RunOutcome::Stopped);
+        assert_eq!(report.stopped_at, Some(r.iterations));
+        assert_eq!(report.global_iterations, r.iterations);
+        assert_eq!(report.checks, solved.checks.len());
+        assert_eq!(solved.checks.len(), r.iterations / 10, "one check per chunk");
+        assert_eq!(solved.checks.last(), Some(&(r.iterations, r.final_residual)));
+        assert_eq!(solved.trace.total_updates(), r.iterations * n_blocks);
+        assert_eq!(solved.trace.global_iterations(), r.iterations);
+        assert!(r.fault.is_none(), "a sim solve has no fault report");
+    }
+
+    #[test]
+    #[should_panic(expected = "a sim solve takes only a cancel token")]
+    fn sim_session_rejects_live_faults() {
+        let plan = FaultPlan::new().kill(1, 5);
+        let session = RunSession { faults: Some(&plan), ..RunSession::default() };
+        sim_session(&SolveOptions::fixed_iterations(20), session);
     }
 
     #[test]

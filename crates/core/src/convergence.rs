@@ -220,12 +220,16 @@ impl<'a> Progress<'a> {
     }
 
     /// Ends a chunk of `rounds` iterations that left `x`: checks it when
-    /// `tol > 0`, adding nothing to the history.
-    pub(crate) fn chunk_done(&mut self, rounds: usize, x: &[f64]) {
+    /// `tol > 0` and returns the check, adding nothing to the history.
+    pub(crate) fn chunk_done(&mut self, rounds: usize, x: &[f64]) -> Option<f64> {
         self.advance(rounds);
-        if self.opts.tol > 0.0 {
-            self.check(x);
-        }
+        (self.opts.tol > 0.0).then(|| self.check(x))
+    }
+
+    /// Whether a check stopped the run (tolerance met or residual not
+    /// finite), as opposed to the budget running out.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stopped
     }
 
     /// The result for the final iterate `x`. Its residual is the last

@@ -40,18 +40,6 @@ pub fn damped_jacobi(
     Ok(run.finish(x))
 }
 
-/// Damped Jacobi with the optimal `tau = 2/(lambda_1 + lambda_n)`
-/// estimated from the matrix. Returns the tau actually used.
-pub fn auto_damped_jacobi(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    opts: &SolveOptions,
-) -> Result<(SolveResult, f64)> {
-    let tau = optimal_tau(a)?;
-    Ok((damped_jacobi(a, b, x0, tau, opts)?, tau))
-}
-
 /// An async-(k) solver with the optimal damping for this SPD matrix —
 /// the block-asynchronous counterpart of §4.2's remedy.
 pub fn damped_async_solver(a: &CsrMatrix, local_iters: usize) -> Result<AsyncBlockSolver> {
@@ -82,10 +70,11 @@ mod tests {
             jacobi(&a, &b, &vec![0.0; n], &SolveOptions::fixed_iterations(50)).unwrap();
         assert!(plain.history[40] > plain.history[5], "plain Jacobi must diverge");
 
-        let (damped, tau) =
-            auto_damped_jacobi(&a, &b, &vec![0.0; n], &SolveOptions::to_tolerance(1e-8, 200000))
-                .unwrap();
+        let tau = optimal_tau(&a).unwrap();
         assert!(tau > 0.0 && tau < 1.0, "tau = {tau}");
+        let damped =
+            damped_jacobi(&a, &b, &vec![0.0; n], tau, &SolveOptions::to_tolerance(1e-8, 200000))
+                .unwrap();
         assert!(damped.converged, "residual {}", damped.final_residual);
     }
 

@@ -15,10 +15,10 @@ use crate::metrics::{MetricsSink, NullSink, RunMetrics};
 use crate::report::{Figure, Series, Table};
 use crate::{ExpOptions, Scale};
 use abr_core::async_block::AsyncJacobiKernel;
-use abr_core::{AsyncBlockSolver, SolveOptions};
+use abr_core::{AsyncBlockSolver, ExecutorKind, SolveOptions};
 use abr_fault::FailureScenario;
 use abr_gpu::kernel::AllowAll;
-use abr_gpu::{FaultPlan, PersistentOptions, RunSession};
+use abr_gpu::{FaultPlan, PersistentOptions, RunSession, ThreadedOptions};
 use abr_sparse::gen::laplacian_2d_5pt;
 use abr_sparse::{Result, RowPartition};
 use std::time::Duration;
@@ -60,8 +60,6 @@ pub fn run_with_sink(opts: &ExpOptions, sink: &mut dyn MetricsSink) -> Result<Re
     let rhs = vec![1.0; n];
     let x0 = vec![0.0; n];
     let partition = RowPartition::uniform(n, block_rows)?;
-    let solver = AsyncBlockSolver::async_k(5);
-    let kernel = AsyncJacobiKernel::new(&a, &rhs, &partition, solver.local_iters, 1.0)?;
     let solve_opts =
         SolveOptions { max_iters: budget, tol: 1e-8, record_history: false, check_every: 10 };
     let tuning = PersistentOptions {
@@ -73,6 +71,14 @@ pub fn run_with_sink(opts: &ExpOptions, sink: &mut dyn MetricsSink) -> Result<Re
         stall_timeout: Duration::from_millis(750),
         ..PersistentOptions::default()
     };
+    let solver = AsyncBlockSolver {
+        executor: ExecutorKind::Threaded(ThreadedOptions {
+            n_workers: tuning.n_workers,
+            snapshot_rounds: false,
+        }),
+        ..AsyncBlockSolver::async_k(5)
+    };
+    let kernel = AsyncJacobiKernel::new(&a, &rhs, &partition, solver.local_iters, 1.0)?;
 
     // `None` = fault-free; `Some(recovery)` kills 25% of the workers at
     // t0 = 10 (the paper's scenario), with the given recovery-(t_r).

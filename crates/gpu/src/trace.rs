@@ -407,6 +407,20 @@ impl UpdateTrace {
     pub fn total_updates(&self) -> usize {
         self.updates_per_block.iter().sum()
     }
+
+    /// Folds in the trace of a run that continued this one on the same
+    /// blocks: counts, time and skipped updates add up, the staleness
+    /// histograms merge, and the skew is the larger of the two.
+    pub fn absorb(&mut self, next: &UpdateTrace) {
+        debug_assert_eq!(self.updates_per_block.len(), next.updates_per_block.len());
+        for (c, n) in self.updates_per_block.iter_mut().zip(&next.updates_per_block) {
+            *c += n;
+        }
+        self.max_skew = self.max_skew.max(next.max_skew);
+        self.elapsed += next.elapsed;
+        self.skipped_updates += next.skipped_updates;
+        self.staleness.merge(&next.staleness);
+    }
 }
 
 #[cfg(test)]
@@ -419,6 +433,28 @@ mod tests {
         t.updates_per_block = vec![5, 3, 7];
         assert_eq!(t.global_iterations(), 3);
         assert_eq!(t.total_updates(), 15);
+    }
+
+    #[test]
+    fn absorb_continues_a_trace() {
+        let mut a = UpdateTrace::new(2);
+        a.updates_per_block = vec![3, 3];
+        a.max_skew = 2;
+        a.elapsed = 1.5;
+        a.skipped_updates = 1;
+        a.staleness.record(0);
+        let mut b = UpdateTrace::new(2);
+        b.updates_per_block = vec![2, 4];
+        b.max_skew = 1;
+        b.elapsed = 0.5;
+        b.staleness.record(-1);
+        a.absorb(&b);
+        assert_eq!(a.updates_per_block, vec![5, 7]);
+        assert_eq!(a.global_iterations(), 5);
+        assert_eq!(a.max_skew, 2);
+        assert_eq!(a.elapsed, 2.0);
+        assert_eq!(a.skipped_updates, 1);
+        assert_eq!(a.staleness.entries().collect::<Vec<_>>(), vec![(-1, 1), (0, 1)]);
     }
 
     #[test]

@@ -132,9 +132,17 @@ impl MultiGpuSolver {
                     }),
                     ..self.base.clone()
                 };
-                let solve =
-                    base.solve_with_kernel(a, rhs, x0, &kernel, opts, &abr_gpu::kernel::AllowAll)?;
-                (solve, None)
+                let solved = base.solve_session(
+                    a,
+                    rhs,
+                    x0,
+                    &kernel,
+                    opts,
+                    &abr_gpu::kernel::AllowAll,
+                    None,
+                    RunSession::default(),
+                )?;
+                (solved.result, None)
             }
             // Threaded: shard the executor by *device slices* (not worker
             // count) and realise the strategy through the halo exchange.

@@ -17,9 +17,10 @@
 //!   (retrying cannot help those).
 //! * **Deadlines and cancellation** — each request gets a
 //!   [`CancelToken`] (deadline from `deadline_ms`, cancel from a
-//!   `cancel` frame on any connection); the executor's monitor loop
+//!   `cancel` frame on any connection). A pooled solve's monitor loop
 //!   polls it and raises the ordinary Release stop flag, so an expired
-//!   request frees its leased shards within one monitor poll.
+//!   request frees its leased shards within one monitor poll; a sim
+//!   solve polls it between chunks.
 //! * **Fault isolation** — a panicking request (poisoned sweep under
 //!   `--chaos`, validation assert, anything) is contained: pool workers
 //!   wrap job slices in `catch_unwind`, and the connection thread wraps
@@ -35,13 +36,16 @@
 
 use crate::cache::{solve_key, Begin, CachedSolve, SolveCache};
 use crate::wire::{read_frame, write_frame, MatrixSpec, Mode, Request, Response, SolveSpec};
+use abr_core::async_block::AsyncJacobiKernel;
 use abr_core::{
-    fingerprint_matrix, fingerprint_vec, AsyncBlockSolver, ExecutorKind, LeasedRun,
-    ScheduleKind, SolveOptions, SolveResult,
+    fingerprint_matrix, fingerprint_vec, AsyncBlockSolver, ExecutorKind, ScheduleKind,
+    SolveOptions, SolveResult,
 };
 use abr_exp::metrics::{JsonlFileSink, MetricsSink, NullSink, RunMetrics};
+use abr_gpu::kernel::AllowAll;
 use abr_gpu::{
-    CancelCause, CancelToken, FaultPlan, PersistentOptions, RunOutcome, SimOptions, WorkerPool,
+    CancelCause, CancelToken, FaultPlan, RunOutcome, RunSession, SimOptions, ThreadedOptions,
+    WorkerPool,
 };
 use abr_sparse::{gen, CsrMatrix, RowPartition};
 use abr_sync::{Ordering, SyncBool};
@@ -677,8 +681,7 @@ fn abort_response(shared: &Shared, id: u64, iterations: usize, cause: CancelCaus
 }
 
 enum Solved {
-    /// The solve ran to its end, with the monitor's residual checks
-    /// (empty for a sim solve).
+    /// The solve ran to its end, with its residual checks.
     Finished { result: SolveResult, checks: Vec<(usize, f64)> },
     Interrupted(CancelCause, usize),
     /// Admitted but could not obtain a lease in time — shed after all.
@@ -700,26 +703,16 @@ fn run_solve(
     let block = spec.block.clamp(1, n);
     let partition = RowPartition::uniform(n, block).map_err(|e| e.to_string())?;
     let opts = SolveOptions::to_tolerance(spec.tol, spec.max_iters.max(1));
-    let solver = AsyncBlockSolver {
-        local_iters: spec.local_iters.max(1),
-        schedule: ScheduleKind::Recurring { seed: spec.seed },
-        executor: ExecutorKind::Sim(SimOptions {
-            seed: spec.seed ^ 0x9e37_79b9_7f4a_7c15,
-            ..SimOptions::default()
-        }),
-        damping: 1.0,
-        local_sweep: Default::default(),
-    };
-    match spec.mode {
-        Mode::Sim => {
-            // The simulator runs on this connection thread and is not
-            // interruptible mid-solve; honor the token at the boundary.
-            if let Some(cause) = token.should_stop() {
-                return Ok(Solved::Interrupted(cause, 0));
-            }
-            let r = solver.solve(a, rhs, x0, &partition, &opts).map_err(|e| e.to_string())?;
-            Ok(Solved::Finished { result: r, checks: Vec::new() })
-        }
+    let (executor, pool) = match spec.mode {
+        // The simulator runs on this connection thread and polls the
+        // token between chunks.
+        Mode::Sim => (
+            ExecutorKind::Sim(SimOptions {
+                seed: spec.seed ^ 0x9e37_79b9_7f4a_7c15,
+                ..SimOptions::default()
+            }),
+            None,
+        ),
         Mode::Pooled => {
             // Lease admission: bounded wait in short slices so the token
             // stays responsive while queued.
@@ -737,37 +730,32 @@ fn run_solve(
                     return Ok(Solved::Shed);
                 }
             };
-            let solved = solver
-                .solve_leased(
-                    a,
-                    rhs,
-                    x0,
-                    &partition,
-                    &opts,
-                    LeasedRun {
-                        pool: &shared.pool,
-                        lease,
-                        cancel: Some(token),
-                        faults: chaos,
-                        exec_opts: PersistentOptions {
-                            n_workers: workers,
-                            ..PersistentOptions::default()
-                        },
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-            match solved.report.outcome {
-                RunOutcome::Cancelled => {
-                    Ok(Solved::Interrupted(CancelCause::Cancelled, solved.result.iterations))
-                }
-                RunOutcome::DeadlineExceeded => Ok(Solved::Interrupted(
-                    CancelCause::DeadlineExceeded,
-                    solved.result.iterations,
-                )),
-                _ => Ok(Solved::Finished { result: solved.result, checks: solved.checks }),
-            }
+            let threads = ThreadedOptions { n_workers: workers, snapshot_rounds: false };
+            (ExecutorKind::Threaded(threads), Some((&shared.pool, lease)))
         }
-    }
+    };
+    let local_iters = spec.local_iters.max(1);
+    let kernel =
+        AsyncJacobiKernel::new(a, rhs, &partition, local_iters, 1.0).map_err(|e| e.to_string())?;
+    let solver = AsyncBlockSolver {
+        local_iters,
+        schedule: ScheduleKind::Recurring { seed: spec.seed },
+        executor,
+        damping: 1.0,
+        local_sweep: Default::default(),
+    };
+    let session = RunSession { faults: chaos, cancel: Some(token), pool, ..RunSession::default() };
+    let solved = solver
+        .solve_session(a, rhs, x0, &kernel, &opts, &AllowAll, None, session)
+        .map_err(|e| e.to_string())?;
+    let iterations = solved.result.iterations;
+    Ok(match solved.report.outcome {
+        RunOutcome::Cancelled => Solved::Interrupted(CancelCause::Cancelled, iterations),
+        RunOutcome::DeadlineExceeded => {
+            Solved::Interrupted(CancelCause::DeadlineExceeded, iterations)
+        }
+        _ => Solved::Finished { result: solved.result, checks: solved.checks },
+    })
 }
 
 fn record_metrics(

@@ -129,11 +129,13 @@ impl MatrixSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Seeded discrete-event simulation on the connection thread —
-    /// deterministic, so a cached or repeated solve is bit-identical.
+    /// deterministic, so a cached or repeated solve is bit-identical. A
+    /// deadline or cancel stops it at its next residual check, every ten
+    /// global iterations.
     Sim,
     /// Real threads leased from the daemon's shared worker pool —
-    /// nondeterministic interleaving, converges to tolerance; the only
-    /// mode where deadlines/cancellation can interrupt mid-solve.
+    /// nondeterministic interleaving, converges to tolerance. A deadline
+    /// or cancel stops it within one monitor poll.
     Pooled,
 }
 

@@ -396,6 +396,75 @@ fn deadline_expires_mid_solve_and_pool_recovers() {
     assert_eq!(report.counters.deadline_exceeded, 1);
 }
 
+/// A sim request that cannot converge (`tol = 1e-30`) within its
+/// 200,000-iteration budget: only its cancel token can end it early.
+fn endless_sim(id: u64, deadline_ms: Option<u64>) -> SolveSpec {
+    SolveSpec {
+        tol: 1e-30,
+        max_iters: 200_000,
+        deadline_ms,
+        cache: false,
+        ..SolveSpec::lap2d(id, 16)
+    }
+}
+
+/// A sim solve polls its token between chunks: a 150 ms deadline ends it
+/// `DeadlineExceeded` with partial progress well inside two seconds, and
+/// a `cancel` frame from another connection ends a second one
+/// `Cancelled`.
+#[test]
+fn sim_requests_honour_deadline_and_cancel() {
+    let daemon = Daemon::start(DaemonConfig { workers: 1, ..DaemonConfig::default() }).unwrap();
+    let addr = daemon.addr();
+
+    let doomed = endless_sim(1, Some(150));
+    let t0 = Instant::now();
+    match Client::new(addr).solve_once(&doomed).unwrap() {
+        Response::DeadlineExceeded { id, iterations } => {
+            assert_eq!(id, 1);
+            assert!(iterations > 0, "deadline fired mid-solve: partial progress expected");
+            assert!(iterations < doomed.max_iters, "must be a partial stop: {iterations}");
+        }
+        other => panic!("the sim solve must deadline out, got {other:?}"),
+    }
+    let waited = t0.elapsed();
+    assert!(waited < Duration::from_secs(2), "the deadline must bound a sim solve: {waited:?}");
+
+    // The cancel frame may race the solve's registration, so resend
+    // until the solve answers; cancellation is idempotent.
+    let cancelled = endless_sim(2, None);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let spec = &cancelled;
+        s.spawn(move || tx.send(Client::new(addr).solve_once(spec)).unwrap());
+        let canceller = Client::new(addr);
+        let mut tries = 0;
+        let reply = loop {
+            match rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(r) => break r.unwrap(),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    tries += 1;
+                    assert!(tries < 100, "cancel never landed");
+                    let _ = canceller.cancel(2).unwrap();
+                }
+                Err(e) => panic!("cancelled solve's channel died: {e}"),
+            }
+        };
+        match reply {
+            Response::Cancelled { id, iterations } => {
+                assert_eq!(id, 2);
+                assert!(iterations < cancelled.max_iters, "must be a partial stop: {iterations}");
+            }
+            other => panic!("the sim solve must end Cancelled, got {other:?}"),
+        }
+    });
+
+    let report = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!(report.counters.deadline_exceeded, 1, "{:?}", report.counters);
+    assert_eq!(report.counters.cancelled, 1, "{:?}", report.counters);
+    assert_eq!(report.counters.completed, 0, "{:?}", report.counters);
+}
+
 /// The result cache end-to-end: repeat solves hit, concurrent identical
 /// solves single-flight (exactly one of N identical requests computes;
 /// the rest coalesce or hit), `cache: false` bypasses, and every path

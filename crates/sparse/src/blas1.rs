@@ -63,19 +63,6 @@ pub fn sub(x: &[f64], y: &[f64], z: &mut [f64]) {
     }
 }
 
-/// Relative l2 error `||x - y|| / max(||y||, eps)`.
-#[inline]
-pub fn rel_l2_error(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "rel_l2_error: length mismatch");
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        num += (a - b) * (a - b);
-        den += b * b;
-    }
-    num.sqrt() / den.sqrt().max(f64::MIN_POSITIVE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,12 +106,6 @@ mod tests {
         let mut z = vec![0.0; 2];
         sub(&[5.0, 3.0], &[2.0, 4.0], &mut z);
         assert_eq!(z, vec![3.0, -1.0]);
-    }
-
-    #[test]
-    fn rel_error_zero_at_equality() {
-        assert_eq!(rel_l2_error(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert!((rel_l2_error(&[2.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -565,11 +565,6 @@ impl CsrMatrix {
             .fold(0.0, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// `true` if every row satisfies weak diagonal dominance
     /// `|a_ii| >= sum_{j != i} |a_ij|`, with at least one strict row.
     pub fn is_diagonally_dominant(&self) -> bool {
@@ -766,7 +761,6 @@ mod tests {
     fn norms() {
         let a = sample();
         assert_eq!(a.norm_inf(), 6.0);
-        assert!((a.norm_fro() - (3.0f64 * 16.0 + 4.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -179,30 +179,6 @@ impl DenseMatrix {
         eig.sort_by(|x, y| x.partial_cmp(y).unwrap());
         eig
     }
-
-    /// Spectral radius (largest |eigenvalue|) of a **general** small matrix,
-    /// computed robustly through the symmetric eigen-solve of the 2n x 2n
-    /// embedding would be wasteful; instead we run a dense power iteration
-    /// with deflation-free restarts, adequate for our generator tuning.
-    pub fn spectral_radius_power(&self, iters: usize) -> f64 {
-        assert_eq!(self.n_rows, self.n_cols);
-        let n = self.n_rows;
-        if n == 0 {
-            return 0.0;
-        }
-        let mut x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
-        let mut lambda = 0.0;
-        for _ in 0..iters {
-            let y = self.mul_vec(&x);
-            let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm < 1e-300 {
-                return 0.0;
-            }
-            lambda = norm / x.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-            x = y.iter().map(|v| v / norm).collect();
-        }
-        lambda
-    }
 }
 
 impl Index<(usize, usize)> for DenseMatrix {
@@ -291,14 +267,5 @@ mod tests {
         let i = DenseMatrix::identity(2);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn power_iteration_diag() {
-        let mut a = DenseMatrix::zeros(2, 2);
-        a[(0, 0)] = 0.5;
-        a[(1, 1)] = -0.9;
-        let rho = a.spectral_radius_power(500);
-        assert!((rho - 0.9).abs() < 1e-6);
     }
 }

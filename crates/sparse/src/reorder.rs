@@ -92,30 +92,6 @@ pub fn block_diagonal_mass(a: &CsrMatrix, partition: &RowPartition) -> f64 {
     }
 }
 
-/// Same as [`block_diagonal_mass`] but excluding the diagonal itself, i.e.
-/// how much *off-diagonal* mass the local sweeps can see.
-pub fn block_offdiagonal_mass(a: &CsrMatrix, partition: &RowPartition) -> f64 {
-    let mut inside = 0.0;
-    let mut total = 0.0;
-    for r in 0..a.n_rows() {
-        let b = partition.block(partition.block_of(r));
-        for (c, v) in a.row_iter(r) {
-            if c == r {
-                continue;
-            }
-            total += v.abs();
-            if b.contains(c) {
-                inside += v.abs();
-            }
-        }
-    }
-    if total == 0.0 {
-        0.0
-    } else {
-        inside / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,8 +175,6 @@ mod tests {
         // total mass = 16*2 + 30*1 = 62; outside = 2 entries per internal
         // boundary * 3 boundaries = 6. inside = 56/62.
         assert!((inside - 56.0 / 62.0).abs() < 1e-12, "{inside}");
-        let off = block_offdiagonal_mass(&a, &p);
-        assert!((off - 24.0 / 30.0).abs() < 1e-12, "{off}");
     }
 
     #[test]
@@ -208,6 +182,5 @@ mod tests {
         let a = CsrMatrix::from_diagonal(&[1.0; 8]);
         let p = RowPartition::uniform(8, 3).unwrap();
         assert_eq!(block_diagonal_mass(&a, &p), 1.0);
-        assert_eq!(block_offdiagonal_mass(&a, &p), 0.0);
     }
 }

@@ -7,9 +7,11 @@
 //! (panicking) kernel degrades the run without aborting it.
 
 use block_async_relax::core::async_block::AsyncJacobiKernel;
-use block_async_relax::core::{AsyncBlockSolver, FaultedSolve, SolveOptions};
+use block_async_relax::core::{AsyncBlockSolver, ExecutorKind, FaultedSolve, SolveOptions};
 use block_async_relax::gpu::kernel::AllowAll;
-use block_async_relax::gpu::{FaultPlan, PersistentOptions, RunOutcome, RunSession};
+use block_async_relax::gpu::{
+    FaultPlan, PersistentOptions, RunOutcome, RunSession, ThreadedOptions,
+};
 use block_async_relax::sparse::gen::{laplacian_2d_5pt, trefethen};
 use block_async_relax::sparse::{CsrMatrix, RowPartition};
 use proptest::prelude::*;
@@ -42,7 +44,8 @@ fn faulted_solve(
     let partition = RowPartition::uniform(n, block).unwrap();
     let kernel = AsyncJacobiKernel::new(a, rhs, &partition, solver.local_iters, 1.0).unwrap();
     let session = RunSession { faults: Some(plan), ..RunSession::default() };
-    solver
+    let threads = ThreadedOptions { n_workers: tuning.n_workers, snapshot_rounds: false };
+    AsyncBlockSolver { executor: ExecutorKind::Threaded(threads), ..solver.clone() }
         .solve_session(a, rhs, &vec![0.0; n], &kernel, opts, &AllowAll, Some(tuning), session)
         .unwrap()
 }
