@@ -171,9 +171,9 @@ fn run_one(
         "resilience" => emit_table(&resilience::run(opts).map_err(err)?, out, "resilience"),
         "theory" => emit_table(&theory::run(opts).map_err(err)?, out, "theory"),
         "verify" => {
-            let t = verify::run(opts).map_err(err)?;
-            emit_table(&t, out, "verify");
-            if t.rows.iter().any(|r| r[3] == "FAIL") {
+            let checks = verify::run(opts).map_err(err)?;
+            emit_table(&verify::table(&checks), out, "verify");
+            if checks.iter().any(|c| !c.pass) {
                 return Err("verify: at least one claim FAILED".into());
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Figure 6 compares CPU Gauss-Seidel, GPU Jacobi, and async-(1) on every
 //! test matrix; Figure 7 compares Gauss-Seidel against async-(5). The
-//! paper's headline observations, asserted by the integration tests:
+//! paper's headline observations, judged by `verify`'s checklist:
 //!
 //! * Gauss-Seidel converges in roughly half the iterations of Jacobi;
 //! * async-(1) tracks Jacobi's rate (slightly worse, schedule-dependent);
@@ -142,22 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn s1rmt3m1_jacobi_type_methods_diverge() {
-        let figs = run(&small()).unwrap();
-        let f = figs.fig6.iter().find(|f| f.title.contains("s1rmt3m1")).unwrap();
-        for s in &f.series {
-            let first = s.points[2].1;
-            let last = s.points.last().unwrap().1;
-            if s.label.starts_with("Gauss-Seidel") {
-                // GS converges for every SPD matrix — just slowly here.
-                assert!(last <= first, "{}: {first} -> {last}", s.label);
-            } else {
-                assert!(last > first, "{} must diverge: {first} -> {last}", s.label);
-            }
-        }
-    }
-
-    #[test]
     fn gauss_seidel_beats_jacobi_on_fv1() {
         let figs = run(&small()).unwrap();
         let f = figs.fig6.iter().find(|f| f.title.contains("(fv1)")).unwrap();
@@ -169,8 +153,8 @@ mod tests {
     #[test]
     fn async5_improves_clearly_over_async1_on_fv1() {
         // The full-scale "async-(5) ≈ 2x Gauss-Seidel" claim needs the
-        // paper's 448-row blocks on the 9604-row matrix (checked by the
-        // full-scale integration suite); at unit-test scale we assert the
+        // paper's 448-row blocks on the 9604-row matrix (`verify`'s
+        // full-scale checklist judges it); at unit-test scale we assert the
         // scale-independent part: local sweeps buy a large factor on the
         // diagonally-heavy fv matrices.
         let figs = run(&small()).unwrap();

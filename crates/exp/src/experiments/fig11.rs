@@ -78,8 +78,8 @@ mod tests {
         // The paper's Figure 11 shape (AMC halving at 2 GPUs, QPI penalty
         // at 3) only emerges at the full n = 20000 problem size, where
         // the per-device compute dominates the fixed exchange overheads —
-        // the full-scale integration suite asserts it. Here: structure
-        // and positivity.
+        // `verify`'s full-scale checklist judges it. Here: structure and
+        // positivity.
         let opts = ExpOptions { scale: Scale::Small, runs: 2, seed: 0 };
         let t = run(&opts).unwrap();
         assert_eq!(t.rows.len(), 3);

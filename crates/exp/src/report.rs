@@ -84,6 +84,13 @@ impl Series {
         Series { label: label.into(), points }
     }
 
+    /// The first `x` whose `y` is at or below `tol` (`None` if no point
+    /// gets there): a residual history's iterations or seconds to
+    /// tolerance.
+    pub fn first_x_at_or_below(&self, tol: f64) -> Option<f64> {
+        self.points.iter().find(|&&(_, y)| y <= tol).map(|&(x, _)| x)
+    }
+
     /// Linear interpolation of `y` at `x` (clamped to the data range).
     /// Points must be sorted by `x`.
     pub fn interpolate(&self, x: f64) -> Option<f64> {
@@ -217,6 +224,13 @@ mod tests {
         assert_eq!(s.interpolate(-1.0), Some(0.0));
         assert_eq!(s.interpolate(5.0), Some(4.0));
         assert_eq!(Series::new("e", vec![]).interpolate(1.0), None);
+    }
+
+    #[test]
+    fn series_first_x_at_or_below_finds_first_crossing() {
+        let s = Series::new("x", vec![(1.0, 0.5), (2.0, 0.1), (3.0, 0.01)]);
+        assert_eq!(s.first_x_at_or_below(0.1), Some(2.0));
+        assert_eq!(s.first_x_at_or_below(1e-9), None);
     }
 
     #[test]
