@@ -10,6 +10,7 @@ pub mod block_plan;
 pub mod executors;
 pub mod experiments;
 pub mod extensions;
+pub mod ingest;
 pub mod krylov;
 pub mod scale;
 pub mod spmv;

@@ -32,4 +32,5 @@ fn every_bench_suite_runs_one_iteration() {
     suites::krylov::all(&mut c);
     suites::scale::all(&mut c);
     suites::experiments::all(&mut c);
+    suites::ingest::all(&mut c);
 }

@@ -249,7 +249,7 @@ mod tests {
         let series = v.get("series").and_then(Value::as_arr).unwrap();
         assert_eq!(series[0].get("label").and_then(Value::as_str), Some("s"));
         let points = series[0].get("points").and_then(Value::as_arr).unwrap();
-        assert_eq!(points[0].as_f64_vec(), Some(vec![1.0, 2.5]));
+        assert_eq!(points[0].clone().into_f64_vec(), Some(vec![1.0, 2.5]));
         assert_eq!(points[1], Value::Arr(vec![Value::Num(3.0), Value::Null]), "NaN renders null");
     }
 

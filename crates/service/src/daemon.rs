@@ -502,11 +502,11 @@ impl Drop for Registered<'_> {
     }
 }
 
-fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
+fn solve_request(shared: &Shared, mut spec: SolveSpec) -> Response {
     let id = spec.id;
 
     // -- Validation (typed failures; retrying cannot help) --------------
-    let (a, rhs) = match load_system(&spec, shared.cfg.max_rows) {
+    let (a, rhs) = match load_system(&mut spec, shared.cfg.max_rows) {
         Ok(system) => system,
         Err(error) => {
             shared.count(|c| c.failed += 1);
@@ -631,8 +631,9 @@ fn solve_request(shared: &Shared, spec: SolveSpec) -> Response {
 /// Checks the request's tolerance and builds its system and right-hand
 /// side; every error is a validation failure that retrying cannot fix.
 /// A solve stops on its tolerance, so one that is not finite and > 0
-/// would run the whole `max_iters` budget.
-fn load_system(spec: &SolveSpec, max_rows: usize) -> Result<(CsrMatrix, Vec<f64>), String> {
+/// would run the whole `max_iters` budget. An explicit matrix's arrays
+/// and the right-hand side move out of `spec`, which keeps its sizes.
+fn load_system(spec: &mut SolveSpec, max_rows: usize) -> Result<(CsrMatrix, Vec<f64>), String> {
     if !(spec.tol.is_finite() && spec.tol > 0.0) {
         return Err(format!("tol must be finite and > 0, got {}", spec.tol));
     }
@@ -645,22 +646,22 @@ fn load_system(spec: &SolveSpec, max_rows: usize) -> Result<(CsrMatrix, Vec<f64>
             "admission: system of {n} rows exceeds this daemon's max_rows {max_rows}"
         ));
     }
-    let a = match &spec.matrix {
+    let a = match &mut spec.matrix {
         MatrixSpec::Lap2d { g } => gen::laplacian_2d_5pt(*g),
         MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => CsrMatrix::from_raw(
             *n_rows,
             *n_cols,
-            row_ptr.clone(),
-            col_idx.clone(),
-            values.clone(),
+            std::mem::take(row_ptr),
+            std::mem::take(col_idx),
+            std::mem::take(values),
         )
         .map_err(|e| format!("bad matrix: {e}"))?,
     };
     if a.n_rows() != a.n_cols() {
         return Err(format!("system must be square, got {} x {}", a.n_rows(), a.n_cols()));
     }
-    let rhs = match &spec.rhs {
-        Some(r) if r.len() == n => r.clone(),
+    let rhs = match spec.rhs.take() {
+        Some(r) if r.len() == n => r,
         Some(r) => return Err(format!("rhs length {} does not match {n} rows", r.len())),
         None => a.mul_vec(&vec![1.0; n]).map_err(|e| format!("default rhs: {e}"))?,
     };

@@ -8,8 +8,14 @@
 //! up front: a prefix larger than [`MAX_FRAME`] is rejected before any
 //! payload is read, so a malformed or hostile client cannot balloon the
 //! daemon. See DESIGN.md §10 for the frame table.
+//!
+//! The large arrays — a CSR matrix's `row_ptr`, `col_idx` and `values`,
+//! a request's `rhs` and a reply's `x` — decode straight into typed
+//! vectors ([`Value::parse_packed`]) and render from one packed copy of
+//! each, with no JSON node per element; the frames' bytes are those of
+//! the generic [`Value`] path.
 
-use crate::json::{num_arr, obj, usize_arr, Value};
+use crate::json::{obj, Packed, Value};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on a frame payload (64 MiB): large enough for a
@@ -94,14 +100,14 @@ impl MatrixSpec {
             MatrixSpec::Csr { n_rows, n_cols, row_ptr, col_idx, values } => obj(vec![
                 ("n_rows", Value::Num(*n_rows as f64)),
                 ("n_cols", Value::Num(*n_cols as f64)),
-                ("row_ptr", usize_arr(row_ptr)),
-                ("col_idx", usize_arr(col_idx)),
-                ("values", num_arr(values)),
+                ("row_ptr", Value::Indices(row_ptr.clone())),
+                ("col_idx", Value::Indices(col_idx.clone())),
+                ("values", Value::Floats(values.clone())),
             ]),
         }
     }
 
-    fn from_value(v: &Value) -> Result<MatrixSpec, String> {
+    fn from_value(mut v: Value) -> Result<MatrixSpec, String> {
         if let Some(kind) = v.get("gen").and_then(Value::as_str) {
             return match kind {
                 "lap2d" => {
@@ -114,13 +120,13 @@ impl MatrixSpec {
                 other => Err(format!("unknown generator `{other}`")),
             };
         }
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("matrix missing `{k}`"));
+        let mut field = |k: &str| v.take(k).ok_or_else(|| format!("matrix missing `{k}`"));
         Ok(MatrixSpec::Csr {
             n_rows: field("n_rows")?.as_u64().ok_or("bad n_rows")? as usize,
             n_cols: field("n_cols")?.as_u64().ok_or("bad n_cols")? as usize,
-            row_ptr: field("row_ptr")?.as_usize_vec().ok_or("bad row_ptr")?,
-            col_idx: field("col_idx")?.as_usize_vec().ok_or("bad col_idx")?,
-            values: field("values")?.as_f64_vec().ok_or("bad values")?,
+            row_ptr: field("row_ptr")?.into_usize_vec().ok_or("bad row_ptr")?,
+            col_idx: field("col_idx")?.into_usize_vec().ok_or("bad col_idx")?,
+            values: field("values")?.into_f64_vec().ok_or("bad values")?,
         })
     }
 }
@@ -248,7 +254,7 @@ impl Request {
                     ("cache", Value::Bool(s.cache)),
                 ];
                 if let Some(rhs) = &s.rhs {
-                    fields.push(("rhs", num_arr(rhs)));
+                    fields.push(("rhs", Value::Floats(rhs.clone())));
                 }
                 if let Some(d) = s.deadline_ms {
                     fields.push(("deadline_ms", Value::Num(d as f64)));
@@ -260,7 +266,13 @@ impl Request {
 
     /// Parses a frame payload.
     pub fn parse(payload: &str) -> Result<Request, String> {
-        let v = Value::parse(payload)?;
+        const ARRAYS: [(&str, Packed); 4] = [
+            ("row_ptr", Packed::Indices),
+            ("col_idx", Packed::Indices),
+            ("values", Packed::Floats),
+            ("rhs", Packed::Floats),
+        ];
+        let mut v = Value::parse_packed(payload, &ARRAYS)?;
         let ty = v.get("type").and_then(Value::as_str).ok_or("frame missing `type`")?;
         match ty {
             "ping" => Ok(Request::Ping),
@@ -269,16 +281,18 @@ impl Request {
                 id: v.get("id").and_then(Value::as_u64).ok_or("cancel needs `id`")?,
             }),
             "solve" => {
+                let id = v.get("id").and_then(Value::as_u64).ok_or("solve needs `id`")?;
+                let matrix =
+                    MatrixSpec::from_value(v.take("matrix").ok_or("solve needs `matrix`")?)?;
+                let rhs = match v.take("rhs") {
+                    Some(r) => Some(r.into_f64_vec().ok_or("bad rhs")?),
+                    None => None,
+                };
                 let num = |k: &str| v.get(k).and_then(Value::as_u64);
                 Ok(Request::Solve(SolveSpec {
-                    id: num("id").ok_or("solve needs `id`")?,
-                    matrix: MatrixSpec::from_value(
-                        v.get("matrix").ok_or("solve needs `matrix`")?,
-                    )?,
-                    rhs: match v.get("rhs") {
-                        Some(r) => Some(r.as_f64_vec().ok_or("bad rhs")?),
-                        None => None,
-                    },
+                    id,
+                    matrix,
+                    rhs,
                     tol: v.get("tol").and_then(Value::as_f64).ok_or("solve needs `tol`")?,
                     max_iters: num("max_iters").ok_or("solve needs `max_iters`")? as usize,
                     local_iters: num("local_iters").unwrap_or(1) as usize,
@@ -404,7 +418,7 @@ impl Response {
                         ("cached", Value::Bool(*cached)),
                         ("coalesced", Value::Bool(*coalesced)),
                         ("chaos", Value::Bool(*chaos)),
-                        ("x", num_arr(x)),
+                        ("x", Value::Floats(x.clone())),
                     ],
                 )
             }
@@ -413,7 +427,8 @@ impl Response {
 
     /// Parses a frame payload.
     pub fn parse(payload: &str) -> Result<Response, String> {
-        let v = Value::parse(payload)?;
+        let mut v = Value::parse_packed(payload, &[("x", Packed::Floats)])?;
+        let x = v.take("x");
         let ty = v.get("type").and_then(Value::as_str).ok_or("frame missing `type`")?;
         let id = || v.get("id").and_then(Value::as_u64).ok_or("missing `id`");
         let iters =
@@ -452,7 +467,7 @@ impl Response {
                 cached: v.get("cached").and_then(Value::as_bool).unwrap_or(false),
                 coalesced: v.get("coalesced").and_then(Value::as_bool).unwrap_or(false),
                 chaos: v.get("chaos").and_then(Value::as_bool).unwrap_or(false),
-                x: v.get("x").and_then(Value::as_f64_vec).ok_or("missing `x`")?,
+                x: x.and_then(Value::into_f64_vec).ok_or("missing `x`")?,
             }),
             other => Err(format!("unknown response type `{other}`")),
         }
@@ -462,6 +477,8 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn frames_round_trip_through_a_byte_stream() {
@@ -576,6 +593,85 @@ mod tests {
                     let _ = Request::parse(text);
                 }
             }
+        }
+    }
+
+    /// A finite float from the awkward classes: signed zero, subnormals,
+    /// integers and arbitrary bit patterns.
+    fn gen_f64(rng: &mut StdRng) -> f64 {
+        let sign = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+        let v = match rng.gen_range(0usize..4) {
+            0 => -0.0,
+            1 => sign * f64::from_bits(rng.gen_range(1u64..1 << 52)),
+            2 => sign * rng.gen_range(0u64..1 << 53) as f64,
+            _ => f64::from_bits(rng.gen::<u64>()),
+        };
+        if v.is_finite() {
+            v
+        } else {
+            0.5
+        }
+    }
+
+    /// A solve request over an explicit CSR triplet drawn from `rng` (the
+    /// codec does not check CSR structure; the daemon does).
+    fn gen_request(rng: &mut StdRng) -> Request {
+        let n = rng.gen_range(1usize..40);
+        let nnz = rng.gen_range(0usize..120);
+        let mut row_ptr: Vec<usize> = (0..=n).map(|_| rng.gen_range(0..=nnz)).collect();
+        row_ptr.sort_unstable();
+        let matrix = MatrixSpec::Csr {
+            n_rows: n,
+            n_cols: n,
+            row_ptr,
+            col_idx: (0..nnz).map(|_| rng.gen_range(0..1usize << 40)).collect(),
+            values: (0..nnz).map(|_| gen_f64(rng)).collect(),
+        };
+        let rhs = rng.gen::<bool>().then(|| (0..n).map(|_| gen_f64(rng)).collect());
+        Request::Solve(SolveSpec { matrix, rhs, tol: gen_f64(rng), ..SolveSpec::lap2d(rng.gen_range(0u64..1 << 53), 2) })
+    }
+
+    #[test]
+    fn typed_arrays_match_the_value_path_on_generated_frames() {
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let req = gen_request(&mut rng);
+            let frame = req.render();
+            // A tree with one node per element renders the same bytes...
+            assert_eq!(Value::parse(&frame).unwrap().render(), frame, "seed {seed}");
+            // ...and the typed decode reads back every bit.
+            let back = Request::parse(&frame).unwrap();
+            assert_eq!(back, req, "seed {seed}");
+            assert_eq!(back.render(), frame, "seed {seed}");
+
+            let x: Vec<f64> = (0..rng.gen_range(0usize..60)).map(|_| gen_f64(&mut rng)).collect();
+            let done = Response::Done {
+                id: seed,
+                x,
+                iterations: 10,
+                converged: true,
+                final_residual: gen_f64(&mut rng),
+                cached: false,
+                coalesced: false,
+                chaos: false,
+            };
+            let frame = done.render();
+            assert_eq!(Value::parse(&frame).unwrap().render(), frame, "seed {seed}");
+            let back = Response::parse(&frame).unwrap();
+            assert_eq!(back, done, "seed {seed}");
+            assert_eq!(back.render(), frame, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn integer_arrays_accept_what_as_u64_accepts() {
+        let frame = solve_frame().replace("\"col_idx\":[0,1,", "\"col_idx\":[0.0,1e0,");
+        let Request::Solve(spec) = Request::parse(&frame).unwrap() else { panic!("not a solve") };
+        let MatrixSpec::Csr { col_idx, .. } = spec.matrix else { panic!("not csr") };
+        assert_eq!(col_idx, (0..12).collect::<Vec<_>>());
+        for bad in ["-1", "1.5", "9007199254740994", "1e400", "null"] {
+            let frame = solve_frame().replace("\"col_idx\":[0,", &format!("\"col_idx\":[{bad},"));
+            assert_eq!(Request::parse(&frame), Err("bad col_idx".into()), "{bad}");
         }
     }
 }

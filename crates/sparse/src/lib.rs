@@ -21,7 +21,8 @@
 //!   with pre-inverted diagonals — for allocation-free sweeps ([`block_plan`]),
 //! * reverse Cuthill–McKee reordering ([`reorder`]),
 //! * diagonal and tau-scaling ([`scaling`]),
-//! * MatrixMarket I/O ([`io`]).
+//! * MatrixMarket I/O ([`io`]) and the byte-level number scanner it
+//!   shares with the workspace's JSON codec ([`scan`]).
 //!
 //! All floating-point work is `f64`; indices are `usize`.
 
@@ -37,6 +38,7 @@ pub mod par;
 pub mod partition;
 pub mod reorder;
 pub mod scaling;
+pub mod scan;
 pub mod simd;
 pub mod spectra;
 pub mod stats;
