@@ -12,6 +12,10 @@
 //!
 //! Every JSON line (set `CRITERION_JSON=BENCH_ingest.json`) carries the
 //! input's size: `bytes` and `nnz`, plus `threads` for the `.mtx` rows.
+//! The committed rows also name the host and code they were measured on
+//! (`cores`, `target_cpu`, `commit`, and `side`: `before` rows run this
+//! suite against the library of the commit before the shared number
+//! scanner).
 
 use abr_service::{MatrixSpec, Mode, Request, SolveSpec};
 use abr_sparse::gen::{random_diag_dominant, TestMatrix};
