@@ -5,6 +5,10 @@
 //!   core, capped at 8) on each of the five Table 1 substitutes the
 //!   `table1_mtx` workload ingests, as `write_matrix_market` writes them,
 //!   read from memory so the timing holds no file-system cost.
+//! * `ingest_mtx_uf/<system>` — the same read of each system's lower
+//!   triangle, written column by column under a `symmetric` header: the
+//!   layout of the University of Florida collection the paper's systems
+//!   come from, which the reader expands to the full matrix.
 //! * `ingest_wire/{request_parse, request_render}` — `Request::parse` and
 //!   `Request::render` on a `serve_ingest`-shaped solve frame: an
 //!   explicit random diagonally dominant CSR system with n = 20,000 and
@@ -13,14 +17,16 @@
 //! Every JSON line (set `CRITERION_JSON=BENCH_ingest.json`) carries the
 //! input's size: `bytes` and `nnz`, plus `threads` for the `.mtx` rows.
 //! The committed rows also name the host and code they were measured on
-//! (`cores`, `target_cpu`, `commit`, and `side`: `before` rows run this
-//! suite against the library of the commit before the shared number
-//! scanner).
+//! (`cores`, `target_cpu`, `commit`, and `side`): a `before` row runs
+//! this suite against the library at `commit`, the parent of the change
+//! it prices, and an `after` row against the change itself.
 
 use abr_service::{MatrixSpec, Mode, Request, SolveSpec};
 use abr_sparse::gen::{random_diag_dominant, TestMatrix};
 use abr_sparse::io::{read_matrix_market, write_matrix_market};
+use abr_sparse::CsrMatrix;
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use std::fmt::Write as _;
 
 /// The Table 1 substitutes `table1_mtx` ingests.
 const SYSTEMS: [TestMatrix; 5] = [
@@ -31,23 +37,52 @@ const SYSTEMS: [TestMatrix; 5] = [
     TestMatrix::Trefethen20000,
 ];
 
-/// Runs both groups.
+/// Runs every group.
 pub fn all(c: &mut Criterion) {
     bench_mtx(c);
+    bench_mtx_uf(c);
     bench_wire(c);
 }
 
 /// `read_matrix_market` on each Table 1 substitute.
 pub fn bench_mtx(c: &mut Criterion) {
+    bench_reads(c, "ingest_mtx", |a| {
+        let mut text = Vec::new();
+        write_matrix_market(a, &mut text).expect("write to memory");
+        text
+    });
+}
+
+/// `read_matrix_market` on each Table 1 substitute in the UF layout.
+pub fn bench_mtx_uf(c: &mut Criterion) {
+    bench_reads(c, "ingest_mtx_uf", uf_layout);
+}
+
+/// `a`'s lower triangle, column by column, under a `symmetric` header.
+fn uf_layout(a: &CsrMatrix) -> Vec<u8> {
+    let at = a.transpose();
+    let mut body = String::new();
+    let mut count = 0;
+    for c in 0..at.n_rows() {
+        for (r, v) in at.row_iter(c).filter(|&(r, _)| r >= c) {
+            writeln!(body, "{} {} {v:.17e}", r + 1, c + 1).expect("write to a String");
+            count += 1;
+        }
+    }
+    let (n, m) = (a.n_rows(), a.n_cols());
+    format!("%%MatrixMarket matrix coordinate real symmetric\n{n} {m} {count}\n{body}").into_bytes()
+}
+
+/// One group reading each system as `write_text` lays it out.
+fn bench_reads(c: &mut Criterion, name: &str, write_text: impl Fn(&CsrMatrix) -> Vec<u8>) {
     let threads = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1)
         .min(8);
-    let mut group = c.benchmark_group("ingest_mtx");
+    let mut group = c.benchmark_group(name);
     for which in SYSTEMS {
         let a = which.build().expect("generator");
-        let mut text = Vec::new();
-        write_matrix_market(&a, &mut text).expect("write to memory");
+        let text = write_text(&a);
         group.throughput(Throughput::Bytes(text.len() as u64));
         group.meta(&[
             ("bytes", text.len() as f64),

@@ -81,9 +81,6 @@ fn solve_once(
         ..PersistentOptions::default()
     });
     let mut monitor = ResidualMonitor::new(a, rhs, TOL, 1);
-    if !fused {
-        monitor = monitor.exact_only();
-    }
     x.clear();
     x.resize(a.n_rows(), 0.0);
     let mut schedule = RoundRobin;

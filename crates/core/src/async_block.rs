@@ -511,10 +511,6 @@ pub struct ResidualMonitor<'a> {
     /// `‖b‖₂`, cached at construction: the fused fast path normalises the
     /// workers' `‖b − A x‖²` estimate without touching the matrix.
     rhs_norm: f64,
-    /// When set, every fused estimate escalates to the exact check — the
-    /// pre-fusion monitor, kept as the benchmark baseline so the scale
-    /// suite can price the fusion.
-    exact_only: bool,
     /// Fused polls since the last exact check (forced-escalation clock).
     fused_streak: usize,
     /// Last exact check landed within [`URGENT_BAND`] of the tolerance:
@@ -574,20 +570,10 @@ impl<'a> ResidualMonitor<'a> {
             period,
             scratch: Vec::new(),
             rhs_norm: rhs.iter().map(|&b| b * b).sum::<f64>().sqrt(),
-            exact_only: false,
             fused_streak: 0,
             urgent: false,
             checks: Vec::new(),
         }
-    }
-
-    /// Disables the fused fast path: every poll escalates to the exact
-    /// residual check, as before fusion existed. The scale bench runs
-    /// this as its baseline; it is also the right mode when the recorded
-    /// trajectory must have a point at every single period.
-    pub fn exact_only(mut self) -> Self {
-        self.exact_only = true;
-        self
     }
 
     /// Consumes the monitor, handing back its residual scratch buffer so
@@ -611,7 +597,7 @@ impl ConvergenceMonitor for ResidualMonitor<'_> {
     }
 
     fn fused_check(&mut self, _global_iteration: usize, estimate_sq: f64) -> bool {
-        if self.exact_only || self.rhs_norm == 0.0 {
+        if self.rhs_norm == 0.0 {
             return true;
         }
         if self.fused_streak + 1 >= FUSED_FORCE_EXACT_EVERY {

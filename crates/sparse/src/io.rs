@@ -10,23 +10,13 @@
 //! the per-chunk triplets are merged back **in file order**. Every number
 //! goes through [`crate::scan`]; an entry line is exactly `row col value`.
 //!
-//! Two builds share that parse:
-//!
-//! * **Row-sorted files** — every entry strictly after the one before it
-//!   in `(row, col)` order, chunk boundaries included, as
-//!   [`write_matrix_market`] writes them — build the CSR in one counting
-//!   pass, with no duplicates to sum and no sort. Explicit zeros are
-//!   dropped exactly as [`CooMatrix::to_csr`] drops them, and the arrays
-//!   go through the validating [`CsrMatrix::from_raw`].
-//! * **Everything else** (symmetric expansions, unsorted files,
-//!   duplicates) concatenates the triplets into a [`CooMatrix`] and
-//!   converts with `to_csr`, which sorts each row and sums duplicates in
-//!   file order.
-//!
-//! Both give the same matrix for the same entries, and neither depends on
-//! the thread count.
+//! The chunks go straight to the one CSR build
+//! [`CooMatrix::to_csr`](crate::CooMatrix::to_csr) uses: duplicates sum in
+//! file order, explicit zeros are dropped, the result does not depend on
+//! the thread count, and a row count whose row pointers cannot be
+//! allocated is an error.
 
-use crate::{scan, CooMatrix, CsrMatrix, ParContext, Result, SparseError};
+use crate::{coo, scan, CsrMatrix, ParContext, Result, SparseError};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -59,19 +49,9 @@ pub fn read_matrix_market_with<R: Read>(mut reader: R, ctx: ParContext) -> Resul
         .map_err(|e| SparseError::Parse(e.to_string()))?;
     let (header, body) = read_header(&bytes)?;
     let chunks = parse_entries(&bytes, body, &header, ctx)?;
-    if entries_sorted(&chunks) {
-        csr_from_sorted(&header, chunks)
-    } else {
-        let stored: usize = chunks.iter().map(|c| c.rows.len()).sum();
-        let mut coo = CooMatrix::with_capacity(header.n_rows, header.n_cols, stored);
-        for ch in &chunks {
-            for k in 0..ch.rows.len() {
-                // Bounds were validated during the chunk parse.
-                coo.push(ch.rows[k], ch.cols[k], ch.vals[k])?;
-            }
-        }
-        Ok(coo.to_csr())
-    }
+    let runs: Vec<coo::Run<'_>> =
+        chunks.iter().map(|ch| (&ch.rows[..], &ch.cols[..], &ch.vals[..])).collect();
+    coo::build_csr(header.n_rows, header.n_cols, &runs)
 }
 
 /// Writes a CSR matrix in MatrixMarket `general` coordinate format.
@@ -205,44 +185,6 @@ fn parse_entries(
     Ok(chunks)
 }
 
-/// Whether the triplets of all chunks, in file order, strictly increase
-/// in `(row, col)` order: each chunk's own and across chunk boundaries.
-fn entries_sorted(chunks: &[ParsedChunk]) -> bool {
-    let mut last: Option<(usize, usize)> = None;
-    for ch in chunks.iter().filter(|c| !c.rows.is_empty()) {
-        let first = (ch.rows[0], ch.cols[0]);
-        if !ch.sorted || last.is_some_and(|l| l >= first) {
-            return false;
-        }
-        last = Some((ch.rows[ch.rows.len() - 1], ch.cols[ch.cols.len() - 1]));
-    }
-    true
-}
-
-/// Builds the CSR of strictly increasing triplets in one counting pass:
-/// they hold no duplicates and their rows arrive in order, so each kept
-/// entry is appended where it lands. Explicit zeros are dropped as
-/// [`CooMatrix::to_csr`] drops them (a lone `-0.0` included).
-fn csr_from_sorted(header: &Header, chunks: Vec<ParsedChunk>) -> Result<CsrMatrix> {
-    let stored: usize = chunks.iter().map(|c| c.rows.len()).sum();
-    let mut row_ptr = vec![0usize; header.n_rows + 1];
-    let mut col_idx = Vec::with_capacity(stored);
-    let mut values = Vec::with_capacity(stored);
-    for ch in chunks {
-        for ((&r, &c), &v) in ch.rows.iter().zip(&ch.cols).zip(&ch.vals) {
-            if v != 0.0 {
-                row_ptr[r + 1] += 1;
-                col_idx.push(c);
-                values.push(v);
-            }
-        }
-    }
-    for r in 0..header.n_rows {
-        row_ptr[r + 1] += row_ptr[r];
-    }
-    CsrMatrix::from_raw(header.n_rows, header.n_cols, row_ptr, col_idx, values)
-}
-
 /// Splits `bytes[start..]` into at most `n_chunks` ranges that all end on
 /// a line boundary (or the end of the buffer).
 fn chunk_ranges(bytes: &[u8], start: usize, n_chunks: usize) -> Vec<(usize, usize)> {
@@ -271,8 +213,6 @@ struct ParsedChunk {
     rows: Vec<usize>,
     cols: Vec<usize>,
     vals: Vec<f64>,
-    /// The triplets strictly increase in `(row, col)` order.
-    sorted: bool,
     /// Entry lines consumed (mirrors not counted), for the nnz check.
     read: usize,
     /// First parse error in this chunk, if any.
@@ -281,9 +221,6 @@ struct ParsedChunk {
 
 impl ParsedChunk {
     fn push(&mut self, r: usize, c: usize, v: f64) {
-        if let (Some(&pr), Some(&pc)) = (self.rows.last(), self.cols.last()) {
-            self.sorted &= (pr, pc) < (r, c);
-        }
         self.rows.push(r);
         self.cols.push(c);
         self.vals.push(v);
@@ -296,7 +233,6 @@ fn parse_entry_chunk(bytes: &[u8], header: &Header, cap_hint: usize) -> ParsedCh
         rows: Vec::with_capacity(cap_hint),
         cols: Vec::with_capacity(cap_hint),
         vals: Vec::with_capacity(cap_hint),
-        sorted: true,
         read: 0,
         err: None,
     };
@@ -356,7 +292,9 @@ fn parse_entry(first: &[u8], line: &mut scan::Cursor<'_>) -> Option<(usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::tests::{assert_bits_eq, oracle};
     use crate::gen::{laplacian_2d_5pt, random_diag_dominant};
+    use crate::CooMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -561,57 +499,135 @@ mod tests {
         out
     }
 
-    /// Whether `text` takes the one-pass build at `threads`.
-    fn reads_sorted(text: &str, threads: usize) -> bool {
-        let bytes = text.as_bytes();
-        let (header, body) = read_header(bytes).unwrap();
-        entries_sorted(&parse_entries(bytes, body, &header, ParContext::new(threads)).unwrap())
+    /// The oracle's CSR of `text`'s entries, read the plain way: the
+    /// entry lines in file order, each mirror right after its source.
+    fn oracle_of(text: &str) -> CsrMatrix {
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty() && !l.starts_with('%'));
+        let symmetric = text.lines().next().unwrap().contains("symmetric");
+        let numbers = |l: &str| l.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        let size = numbers(lines.next().unwrap());
+        let mut triplets = Vec::new();
+        for l in lines {
+            let t = numbers(l);
+            let (r, c): (usize, usize) = (t[0].parse().unwrap(), t[1].parse().unwrap());
+            let v: f64 = t[2].parse().unwrap();
+            triplets.push((r - 1, c - 1, v));
+            if symmetric && r != c {
+                triplets.push((c - 1, r - 1, v));
+            }
+        }
+        oracle(size[0].parse().unwrap(), size[1].parse().unwrap(), triplets)
     }
 
-    #[test]
-    fn one_pass_build_equals_the_coo_path_on_the_same_entries() {
+    /// Reads `text` at `threads` and asserts the oracle's matrix, bit
+    /// for bit; returns it.
+    fn reads_as_oracle(text: &str, threads: usize) -> CsrMatrix {
+        let read = read_matrix_market_with(text.as_bytes(), ParContext::new(threads)).unwrap();
+        assert_bits_eq(&read, &oracle_of(text), &format!("threads {threads}"));
+        read
+    }
+
+    /// `a`'s lower triangle, column by column, under a `symmetric`
+    /// header: the layout of the University of Florida collection.
+    fn uf_layout(a: &CsrMatrix) -> String {
+        let at = a.transpose();
+        let mut body = String::new();
+        let mut count = 0;
+        for c in 0..at.n_rows() {
+            for (r, v) in at.row_iter(c).filter(|&(r, _)| r >= c) {
+                body.push_str(&format!("{} {} {v:?}\n", r + 1, c + 1));
+                count += 1;
+            }
+        }
+        format!(
+            "%%MatrixMarket matrix coordinate real symmetric\n{} {} {count}\n{body}",
+            a.n_rows(),
+            a.n_cols()
+        )
+    }
+
+    /// lap8, a 9x9 Laplacian, a random system and a file with explicit
+    /// zeros, as `write_matrix_market` writes them.
+    fn sample_files() -> Vec<String> {
         let mut texts = vec![include_str!("../../exp/data/lap8.mtx").to_string()];
         for a in [laplacian_2d_5pt(9), random_diag_dominant(300, 4, 1.5, 7)] {
             let mut buf = Vec::new();
             write_matrix_market(&a, &mut buf).unwrap();
             texts.push(String::from_utf8(buf).unwrap());
         }
-        // Explicit zeros (one of them negative) are dropped by both builds.
+        // Explicit zeros (one of them negative) are dropped.
         texts.push(
             "%%MatrixMarket matrix coordinate real general\n3 3 5\n\
              1 1 2.0\n1 3 0.0\n2 2 -0.0\n2 3 1.5\n3 3 1e-300\n"
                 .into(),
         );
-        for text in &texts {
+        texts
+    }
+
+    #[test]
+    fn one_pass_build_equals_the_coo_path_on_the_same_entries() {
+        for text in &sample_files() {
             for threads in [1usize, 3, 4] {
-                assert!(reads_sorted(text, threads), "threads {threads}");
-                let one_pass =
-                    read_matrix_market_with(text.as_bytes(), ParContext::new(threads)).unwrap();
+                let in_order = reads_as_oracle(text, threads);
                 for seed in 0..3 {
                     let mixed = shuffled(text, seed);
-                    assert!(!reads_sorted(&mixed, threads), "seed {seed} left the file sorted");
-                    let coo =
-                        read_matrix_market_with(mixed.as_bytes(), ParContext::new(threads))
-                            .unwrap();
-                    assert_eq!(one_pass, coo, "threads {threads}, seed {seed}");
+                    assert_ne!(&mixed, text, "seed {seed} left the file in order");
+                    let read = reads_as_oracle(&mixed, threads);
+                    assert_bits_eq(&in_order, &read, &format!("threads {threads}, seed {seed}"));
                 }
             }
         }
     }
 
     #[test]
+    fn the_uf_layout_reads_as_the_oracle_and_the_full_matrix() {
+        for text in &sample_files() {
+            let a = read_matrix_market(text.as_bytes()).unwrap();
+            let uf = uf_layout(&a);
+            for threads in [1usize, 3, 4] {
+                let read = reads_as_oracle(&uf, threads);
+                if a == a.transpose() {
+                    assert_bits_eq(&read, &a, &format!("threads {threads}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lap8_sym_reads_as_lap8() {
+        let lap8 = include_str!("../../exp/data/lap8.mtx");
+        let full = read_matrix_market(lap8.as_bytes()).unwrap();
+        let sym = include_str!("../../exp/data/lap8_sym.mtx");
+        assert_eq!(read_matrix_market(sym.as_bytes()).unwrap(), full);
+        // Written in the UF layout, entry for entry.
+        let entries = |t: &str| -> Vec<String> {
+            t.lines().filter(|l| !l.starts_with('%')).map(String::from).collect()
+        };
+        assert_eq!(entries(sym), entries(&uf_layout(&full)));
+    }
+
+    #[test]
     fn a_sorted_symmetric_or_duplicated_file_keeps_its_meaning() {
         // Only diagonal entries: the expansion adds no mirrors, so the
-        // one-pass build runs and must equal the plain diagonal.
+        // read must equal the plain diagonal.
         let diag = "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 2.0\n3 3 5.0\n";
-        assert!(reads_sorted(diag, 1));
-        let a = read_matrix_market(diag.as_bytes()).unwrap();
+        let a = reads_as_oracle(diag, 1);
         assert_eq!((a.get(0, 0), a.get(2, 2), a.nnz()), (2.0, 5.0, 2));
-        // A repeated position is not strictly increasing: the COO path
-        // sums the duplicates.
+        // A repeated position sums its duplicates.
         let dup = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n1 1 2.0\n2 2 1.0\n";
-        assert!(!reads_sorted(dup, 1));
-        assert_eq!(read_matrix_market(dup.as_bytes()).unwrap().get(0, 0), 3.0);
+        assert_eq!(reads_as_oracle(dup, 1).get(0, 0), 3.0);
+    }
+
+    #[test]
+    fn impossible_declared_row_counts_are_typed_errors() {
+        // `n_rows + 1` overflows; 2^60 row pointers exceed any allocation.
+        for rows in ["18446744073709551615", "1152921504606846976"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{rows} 1 0\n");
+            for threads in [1usize, 4] {
+                let err = read_matrix_market_with(text.as_bytes(), ParContext::new(threads));
+                assert!(matches!(err, Err(SparseError::Parse(_))), "{rows} rows: {err:?}");
+            }
+        }
     }
 
     const SMALL_GENERAL: &str = "%%MatrixMarket matrix coordinate real general\n\

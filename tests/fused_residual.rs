@@ -210,7 +210,10 @@ impl BlockKernel for LyingKernel<'_> {
     }
 }
 
-fn run_lying_solve(claim: f64) -> (Vec<f64>, CsrMatrix, Vec<f64>, block_async_relax::gpu::PersistentReport) {
+fn run_lying_solve(
+    claim: f64,
+    fuse_residuals: bool,
+) -> (Vec<f64>, CsrMatrix, Vec<f64>, block_async_relax::gpu::PersistentReport) {
     let a = laplacian_2d_5pt(8); // n = 64
     let n = a.n_rows();
     let rhs = a.mul_vec(&vec![1.0; n]).expect("square");
@@ -220,6 +223,7 @@ fn run_lying_solve(claim: f64) -> (Vec<f64>, CsrMatrix, Vec<f64>, block_async_re
     let tol = 1e-8;
     let exec = PersistentExecutor::new(PersistentOptions {
         n_workers: 4,
+        fuse_residuals,
         ..PersistentOptions::default()
     });
     let mut monitor = ResidualMonitor::new(&a, &rhs, tol, 1);
@@ -245,7 +249,7 @@ fn run_lying_solve(claim: f64) -> (Vec<f64>, CsrMatrix, Vec<f64>, block_async_re
 /// run stops only once the true residual crosses the tolerance.
 #[test]
 fn lying_zero_estimate_cannot_stop_before_the_exact_tolerance() {
-    let (x, a, rhs, report) = run_lying_solve(0.0);
+    let (x, a, rhs, report) = run_lying_solve(0.0, true);
     assert!(report.stopped_at.is_some(), "solve must still converge");
     assert!(report.checks >= 1, "exact checks must have run");
     assert_eq!(
@@ -263,10 +267,23 @@ fn lying_zero_estimate_cannot_stop_before_the_exact_tolerance() {
 /// (and never fake it).
 #[test]
 fn lying_huge_estimate_cannot_starve_the_exact_check() {
-    let (x, a, rhs, report) = run_lying_solve(1e30);
+    let (x, a, rhs, report) = run_lying_solve(1e30, true);
     assert!(report.stopped_at.is_some(), "forced exact checks must still stop the run");
     assert!(report.fused_checks > 0, "the huge estimate should have skipped some polls");
     assert!(report.checks >= 1);
+    let rr = rel_residual(&a, &rhs, &x);
+    assert!(rr <= 1e-8, "stopped with residual {rr} above the tolerance");
+}
+
+/// Fusion off is the exact-only monitor: no slot is ever published, so
+/// even an estimate that would skip polls is never consulted and every
+/// poll is an exact check.
+#[test]
+fn unfused_runs_answer_every_poll_with_the_exact_check() {
+    let (x, a, rhs, report) = run_lying_solve(1e30, false);
+    assert!(report.stopped_at.is_some(), "solve must still converge");
+    assert!(report.checks >= 1);
+    assert_eq!(report.fused_checks, 0, "no poll may be answered by an estimate");
     let rr = rel_residual(&a, &rhs, &x);
     assert!(rr <= 1e-8, "stopped with residual {rr} above the tolerance");
 }
