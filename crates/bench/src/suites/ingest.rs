@@ -54,7 +54,7 @@ pub fn bench_mtx(c: &mut Criterion) {
 }
 
 /// `read_matrix_market` on each Table 1 substitute in the UF layout.
-pub fn bench_mtx_uf(c: &mut Criterion) {
+fn bench_mtx_uf(c: &mut Criterion) {
     bench_reads(c, "ingest_mtx_uf", uf_layout);
 }
 
