@@ -1,8 +1,13 @@
 //! Sweep-tier shootout on the async-(k) hot loop: the span-sliced
 //! `reference`, the packed-CSR `csr` tier, the scalar-ELL `plan` tier
-//! (PR 1's headline path, kept under its old name so the JSON stays
-//! comparable), the four-lane `simd` tier, and the matrix-free `stencil`
-//! tier where a verified descriptor exists.
+//! (the first plan path's headline, kept under its old name so the JSON
+//! stays comparable), the four-lane `simd` tier, and the matrix-free
+//! `stencil` tier where a verified descriptor exists.
+//!
+//! Systems: `laplacian_100x100` and `random_dd_10k` (100-row blocks, every
+//! arm), and `fv_stencil_512`, the `solve_fv1m` workload's shape:
+//! `fv_stencil(512, 1.0)` in 1,024-row blocks, arms `csr`, `simd` and
+//! `stencil`.
 //!
 //! For each system and each k in {1, 5}, one "iteration" updates
 //! **every** block once against a fixed iterate through
@@ -17,12 +22,16 @@
 //! traffic one component update costs under that tier, see
 //! `bytes_per_update`. `plan` and `simd` move the same bytes; the
 //! speedup between them is pure data-level parallelism, while `stencil`
-//! shows up as an actual traffic drop (no stored operator).
+//! shows up as an actual traffic drop (no stored operator). The
+//! committed rows also name the host and code they were measured on
+//! (`cores`, `target_cpu`, `commit`, `side` and `run`): a `before` row
+//! runs this suite against the library at `commit`, the parent of the
+//! change it prices, and an `after` row against the change itself.
 
 use crate::bench_partition;
 use abr_core::async_block::{AsyncJacobiKernel, LocalSweep};
 use abr_gpu::{BlockKernel, BlockScratch, XView};
-use abr_sparse::gen::{laplacian_2d_5pt_stencil, random_diag_dominant};
+use abr_sparse::gen::{fv_stencil, laplacian_2d_5pt_stencil, random_diag_dominant};
 use abr_sparse::stencil::StencilDescriptor;
 use abr_sparse::{CsrMatrix, RowPartition, SweepTier};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
@@ -54,9 +63,12 @@ fn sweep_all_blocks_reference(kernel: &AsyncJacobiKernel<'_>, x: &[f64], out: &m
 /// denominator recorded next to each timing.
 ///
 /// Per full pass over the blocks, every tier pays the same fixed costs:
-/// iterate snapshot (`n * 16` read+write), halo freeze (`nnz_halo * 24`:
-/// 8-byte value + 8-byte column + 8-byte gathered iterate, plus `n * 16`
-/// rhs read + frozen write), and the result copy-out (`n * 16`). Each of
+/// iterate snapshot (`n * 16` read+write), halo freeze (`n * 16` for the
+/// rhs read and frozen write, plus the off-block entries), and the result
+/// copy-out (`n * 16`). An off-block entry costs 24 B from the packed
+/// halo (8-byte value, 8-byte column, 8-byte gathered iterate), or 8 B
+/// as a stencil block's halo tap, whose freeze loads only the iterate.
+/// Each of
 /// the `k` local sweeps then adds per-row overhead (`n * 24`: frozen +
 /// pre-inverted diagonal + next write) plus the tier's per-entry traffic:
 ///
@@ -71,7 +83,14 @@ fn bytes_per_update(kernel: &AsyncJacobiKernel<'_>, variant: SweepTier, referenc
     let plan = kernel.plan();
     let n = plan.n() as f64;
     let a_nnz: f64 = (0..plan.n_blocks()).map(|b| plan.block_nnz(b)).sum();
-    let fixed = n * 16.0 + plan.nnz_halo() as f64 * 24.0 + n * 16.0 + n * 16.0;
+    let stencil_halo_taps: usize =
+        (0..plan.n_blocks()).filter_map(|b| plan.stencil_block(b)).map(|sb| sb.nnz_halo()).sum();
+    let halo = if variant == SweepTier::Stencil && !reference {
+        stencil_halo_taps as f64 * 8.0
+    } else {
+        plan.nnz_halo() as f64 * 24.0
+    };
+    let fixed = n * 16.0 + halo + n * 16.0 + n * 16.0;
     let local_offdiag = (plan.nnz_local() - plan.n()) as f64;
     let per_sweep = if reference {
         a_nnz * 24.0 + n * 24.0
@@ -98,12 +117,16 @@ fn bytes_per_update(kernel: &AsyncJacobiKernel<'_>, variant: SweepTier, referenc
     (fixed + k as f64 * per_sweep) / n
 }
 
+/// Every arm of the shootout; `stencil` runs only with a descriptor.
+const ALL_ARMS: [&str; 5] = ["reference", "csr", "plan", "simd", "stencil"];
+
 fn bench_one_system(
     c: &mut Criterion,
     label: &str,
     a: &CsrMatrix,
     p: &RowPartition,
     descriptor: Option<&StencilDescriptor>,
+    arms: &[&str],
 ) {
     let n = a.n_rows();
     let rhs = a.mul_vec(&vec![1.0; n]).expect("square");
@@ -141,17 +164,22 @@ fn bench_one_system(
             ]
         };
 
-        group.meta(&meta(SweepTier::Csr, true));
-        group.bench_with_input(BenchmarkId::new("reference", k), &k, |bch, _| {
-            bch.iter(|| {
-                sweep_all_blocks_reference(&kernel, black_box(&x), &mut out);
-                black_box(&out);
-            })
-        });
-        // pinned tiers over identical plan data; `plan` = PR 1's scalar ELL
+        if arms.contains(&"reference") {
+            group.meta(&meta(SweepTier::Csr, true));
+            group.bench_with_input(BenchmarkId::new("reference", k), &k, |bch, _| {
+                bch.iter(|| {
+                    sweep_all_blocks_reference(&kernel, black_box(&x), &mut out);
+                    black_box(&out);
+                })
+            });
+        }
+        // pinned tiers over identical plan data; `plan` = the scalar ELL
         for (name, tier) in
             [("csr", SweepTier::Csr), ("plan", SweepTier::Ell), ("simd", SweepTier::EllSimd)]
         {
+            if !arms.contains(&name) {
+                continue;
+            }
             let mut pinned = AsyncJacobiKernel::new(a, &rhs, p, k, 1.0).expect("diag dominant");
             pinned.force_tier(Some(tier));
             let mut scratch = BlockScratch::new();
@@ -163,7 +191,7 @@ fn bench_one_system(
                 })
             });
         }
-        if let Some(sk) = &stencil_kernel {
+        if let Some(sk) = stencil_kernel.as_ref().filter(|_| arms.contains(&"stencil")) {
             let mut scratch = BlockScratch::new();
             group.meta(&meta(SweepTier::Stencil, false));
             group.bench_with_input(BenchmarkId::new("stencil", k), &k, |bch, _| {
@@ -182,7 +210,7 @@ fn bench_one_system(
 pub fn bench_laplacian(c: &mut Criterion) {
     let (a, d) = laplacian_2d_5pt_stencil(100);
     let p = bench_partition(a.n_rows(), 100);
-    bench_one_system(c, "laplacian_100x100", &a, &p, Some(&d));
+    bench_one_system(c, "laplacian_100x100", &a, &p, Some(&d), &ALL_ARMS);
 }
 
 /// A random strictly diagonally dominant system — no stencil structure,
@@ -190,11 +218,21 @@ pub fn bench_laplacian(c: &mut Criterion) {
 pub fn bench_random(c: &mut Criterion) {
     let a = random_diag_dominant(10_000, 6, 1.4, 42);
     let p = bench_partition(a.n_rows(), 100);
-    bench_one_system(c, "random_dd_10k", &a, &p, None);
+    bench_one_system(c, "random_dd_10k", &a, &p, None, &ALL_ARMS);
+}
+
+/// The `solve_fv1m` workload's shape: the 9-point FV stencil on a
+/// 512x512 grid (n = 262,144) in 1,024-row blocks, with its verified
+/// descriptor.
+pub fn bench_fv_stencil(c: &mut Criterion) {
+    let (a, d) = fv_stencil(512, 1.0).expect("constant-coefficient fv");
+    let p = bench_partition(a.n_rows(), 1024);
+    bench_one_system(c, "fv_stencil_512", &a, &p, Some(&d), &["csr", "simd", "stencil"]);
 }
 
 /// The whole suite.
 pub fn all(c: &mut Criterion) {
     bench_laplacian(c);
     bench_random(c);
+    bench_fv_stencil(c);
 }

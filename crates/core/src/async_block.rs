@@ -482,6 +482,9 @@ impl UpdateFilter for OffsetFilter<'_> {
     fn component_enabled(&self, i: usize, round: usize) -> bool {
         self.inner.component_enabled(i, round + self.offset)
     }
+    fn all_components_enabled(&self, start: usize, end: usize, round: usize) -> bool {
+        self.inner.all_components_enabled(start, end, round + self.offset)
+    }
 }
 
 struct OffsetSchedule<'a> {
@@ -744,6 +747,51 @@ impl<'a> AsyncJacobiKernel<'a> {
         self.plan.nnz_local()
     }
 
+    /// Steps 1 and 2 of a block update, reading the iterate through `x`:
+    /// snapshot the block's values into `scratch.cur` (zeroing the pad
+    /// slots so ELL padding entries stay numerically inert) and freeze
+    /// the off-block part into `scratch.frozen`. A stencil block freezes
+    /// over its runs' halo taps, `b_r − Σ c·x[r + d]`, and reads no stored
+    /// halo; any other block makes one linear gather per row over the
+    /// packed halo. Both visit the off-block entries in source CSR order,
+    /// so both are bit-identical to the reference's two-span subtraction.
+    #[inline]
+    fn load_block(&self, b: usize, x: impl Fn(usize) -> f64, scratch: &mut BlockScratch) {
+        let (start, end) = self.plan.block_rows(b);
+        let nb = end - start;
+        let BlockScratch { cur, next, frozen } = scratch;
+        for (li, c) in cur[..nb].iter_mut().enumerate() {
+            *c = x(start + li);
+        }
+        cur[nb] = 0.0;
+        next[nb] = 0.0;
+        let rhs = &self.rhs[start..end];
+        match self.plan.stencil_block(b) {
+            Some(sb) => {
+                for run in sb.runs() {
+                    let rows = (run.lo as usize, run.hi as usize);
+                    for (c, taps) in tap_chunks(&run.halo).enumerate() {
+                        let from_rhs = c == 0;
+                        by_arity!(
+                            taps.len(),
+                            halo_pass::<_>(taps, rows, start, rhs, from_rhs, &x, frozen)
+                        );
+                    }
+                }
+            }
+            None => {
+                for (li, f) in frozen[..nb].iter_mut().enumerate() {
+                    let (hc, hv) = self.plan.halo_row(start + li);
+                    let mut acc = rhs[li];
+                    for (&c, &v) in hc.iter().zip(hv) {
+                        acc -= v * x(c);
+                    }
+                    *f = acc;
+                }
+            }
+        }
+    }
+
     /// The original span-sliced implementation of one block update,
     /// kept as the reference the plan path is tested (bit-for-bit) and
     /// benchmarked against. Allocates its working buffers per call.
@@ -918,13 +966,19 @@ impl<'a> AsyncJacobiKernel<'a> {
 
     /// `k` Jacobi sweeps over the matrix-free stencil runs: **zero index
     /// loads** — within a run, the neighbour of row `li` at tap offset
-    /// `d` is `cur[li + d]`, a contiguous four-lane load. Taps are in
+    /// `d` is `cur[li + d]`, a contiguous vector load. Taps are in
     /// ascending offset order (= source CSR column order) with
     /// coefficients bit-equal to the stored values (enforced by
     /// [`StencilDescriptor::verify`]), and each tap contributes the same
     /// product-then-subtract as the other tiers, so this path too is
     /// bit-identical to the packed-CSR sweep. Off-block taps are not in
-    /// the runs — they were frozen through the packed halo in step 2.
+    /// the runs' `taps` — they were frozen in step 2.
+    ///
+    /// A run's taps go to [`stencil_pass`] in chunks of at most
+    /// [`MAX_ARITY`], each chunk a fixed-arity loop with its coefficients
+    /// and offsets in registers. A run wider than one chunk parks its
+    /// partial sums in `next` between chunks (a store and reload is
+    /// exact), so the accumulation order never changes.
     #[inline]
     fn sweeps_jacobi_stencil<const DAMPED: bool>(
         &self,
@@ -934,37 +988,27 @@ impl<'a> AsyncJacobiKernel<'a> {
         cur: &mut Vec<f64>,
         next: &mut Vec<f64>,
     ) {
-        let tau = f64x4::splat(self.damping);
         for _ in 0..self.local_iters {
             for run in sb.runs() {
-                let (lo, hi) = (run.lo as usize, run.hi as usize);
-                let len = hi - lo;
-                let quads = len - len % LANES;
-                for q in (0..quads).step_by(LANES) {
-                    let li = lo + q;
-                    let mut acc = f64x4::load(&frozen[li..]);
-                    for &(off, coef) in &run.taps {
-                        // in-block tap: 0 <= li + off, and (li+3) + off < nb
-                        let j = (li as isize + off) as usize;
-                        acc = acc - f64x4::splat(coef) * f64x4::load(&cur[j..]);
+                let rows = (run.lo as usize, run.hi as usize);
+                let chunks = tap_chunks(&run.taps);
+                let last = chunks.len() - 1;
+                for (c, taps) in chunks.enumerate() {
+                    let pass = StencilPass { taps, rows, tau: self.damping, frozen, inv_diag };
+                    match (c == 0, c == last) {
+                        (true, true) => {
+                            by_arity!(taps.len(), stencil_pass::<false, true, DAMPED>(&pass, cur, next))
+                        }
+                        (false, true) => {
+                            by_arity!(taps.len(), stencil_pass::<true, true, DAMPED>(&pass, cur, next))
+                        }
+                        (true, false) => {
+                            stencil_pass::<MAX_ARITY, false, false, false>(&pass, cur, next)
+                        }
+                        (false, false) => {
+                            stencil_pass::<MAX_ARITY, true, false, false>(&pass, cur, next)
+                        }
                     }
-                    let sweep = acc * f64x4::load(&inv_diag[li..]);
-                    let new = if DAMPED {
-                        let cv = f64x4::load(&cur[li..]);
-                        cv + tau * (sweep - cv)
-                    } else {
-                        sweep
-                    };
-                    new.store(&mut next[li..]);
-                }
-                for li in lo + quads..hi {
-                    let mut acc = frozen[li];
-                    for &(off, coef) in &run.taps {
-                        acc -= coef * cur[(li as isize + off) as usize];
-                    }
-                    let sweep = acc * inv_diag[li];
-                    next[li] =
-                        if DAMPED { cur[li] + self.damping * (sweep - cur[li]) } else { sweep };
                 }
             }
             std::mem::swap(cur, next);
@@ -1047,6 +1091,123 @@ impl<'a> AsyncJacobiKernel<'a> {
     }
 }
 
+/// Most taps one fixed-arity pass ([`stencil_pass`], [`halo_pass`])
+/// holds in registers; a run with more taps is swept in chunks of this
+/// many. Eight covers every row of the 9-point FV stencil in one pass.
+const MAX_ARITY: usize = 8;
+
+/// A stencil run's tap list in chunks of at most [`MAX_ARITY`]; a run
+/// without taps is one empty chunk, since its rows still need updating.
+fn tap_chunks(taps: &[(isize, f64)]) -> impl ExactSizeIterator<Item = &[(isize, f64)]> {
+    let n = taps.len().div_ceil(MAX_ARITY).max(1);
+    (0..n).map(move |c| &taps[c * MAX_ARITY..taps.len().min((c + 1) * MAX_ARITY)])
+}
+
+/// Calls a fixed-arity pass with a chunk's tap count (at most
+/// [`MAX_ARITY`]) as its leading const generic: `by_arity!(n, f::<A,
+/// B>(args))` runs `f::<n, A, B>(args)`.
+macro_rules! by_arity {
+    ($n:expr, $pass:ident::<$($g:tt),*>($($arg:expr),*)) => {
+        match $n {
+            0 => $pass::<0, $($g),*>($($arg),*),
+            1 => $pass::<1, $($g),*>($($arg),*),
+            2 => $pass::<2, $($g),*>($($arg),*),
+            3 => $pass::<3, $($g),*>($($arg),*),
+            4 => $pass::<4, $($g),*>($($arg),*),
+            5 => $pass::<5, $($g),*>($($arg),*),
+            6 => $pass::<6, $($g),*>($($arg),*),
+            7 => $pass::<7, $($g),*>($($arg),*),
+            _ => $pass::<MAX_ARITY, $($g),*>($($arg),*),
+        }
+    };
+}
+use by_arity;
+
+/// One chunk of a stencil run's in-block taps, to be swept over the
+/// run's rows.
+struct StencilPass<'s> {
+    taps: &'s [(isize, f64)],
+    /// Block-local rows `[lo, hi)` of the run.
+    rows: (usize, usize),
+    tau: f64,
+    frozen: &'s [f64],
+    inv_diag: &'s [f64],
+}
+
+/// `N` off-block taps of one stencil run over its rows `[lo, hi)`:
+/// `frozen[li] = seed − Σ c·x(start + li + d)`, the seed being `rhs[li]`
+/// for a run's first chunk and the partial sum in `frozen` after it.
+/// The taps' offsets and coefficients are fixed-size arrays taken once
+/// per pass, so the row loop holds them in registers.
+#[inline(always)]
+fn halo_pass<const N: usize, X: Fn(usize) -> f64>(
+    taps: &[(isize, f64)],
+    (lo, hi): (usize, usize),
+    start: usize,
+    rhs: &[f64],
+    from_rhs: bool,
+    x: &X,
+    frozen: &mut [f64],
+) {
+    let taps: &[(isize, f64); N] = taps.try_into().expect("chunk holds N taps");
+    let off: [isize; N] = std::array::from_fn(|t| taps[t].0);
+    let coef: [f64; N] = std::array::from_fn(|t| taps[t].1);
+    for li in lo..hi {
+        let r = start + li;
+        let mut acc = if from_rhs { rhs[li] } else { frozen[li] };
+        for t in 0..N {
+            acc -= coef[t] * x(r.wrapping_add_signed(off[t]));
+        }
+        frozen[li] = acc;
+    }
+}
+
+/// `N` taps of one stencil run over its rows. Each row's sum starts
+/// from `frozen`, or from the partial sum an earlier chunk left in `next`
+/// (`IN_PLACE`). With `FINISH` the row's update (`· inv_diag`, then
+/// damping) is applied and written to `next`; without it the partial sum
+/// is.
+///
+/// The taps' coefficients and `cur` windows are fixed-size arrays taken
+/// once per pass, each window exactly as long as the run, so the row loop
+/// holds them in registers and needs no bounds check. The loop is written
+/// one row at a time and the compiler vectorizes it across rows: each
+/// lane runs one row's product-then-subtract chain in tap order, so the
+/// bits are those of the scalar loop.
+#[inline(always)]
+fn stencil_pass<const N: usize, const IN_PLACE: bool, const FINISH: bool, const DAMPED: bool>(
+    pass: &StencilPass<'_>,
+    cur: &[f64],
+    next: &mut [f64],
+) {
+    let (lo, hi) = pass.rows;
+    let len = hi - lo;
+    let taps: &[(isize, f64); N] = pass.taps.try_into().expect("chunk holds N taps");
+    // in-block taps: every window lies inside the block
+    let win: [&[f64]; N] = std::array::from_fn(|t| {
+        let j = lo.wrapping_add_signed(taps[t].0);
+        &cur[j..j + len]
+    });
+    let coef: [f64; N] = std::array::from_fn(|t| taps[t].1);
+    let frozen = &pass.frozen[lo..hi];
+    let inv_diag = &pass.inv_diag[lo..hi];
+    let own = &cur[lo..hi];
+    let out = &mut next[lo..hi];
+    for q in 0..len {
+        let mut acc = if IN_PLACE { out[q] } else { frozen[q] };
+        for t in 0..N {
+            acc -= coef[t] * win[t][q];
+        }
+        out[q] = if !FINISH {
+            acc
+        } else if DAMPED {
+            own[q] + pass.tau * (acc * inv_diag[q] - own[q])
+        } else {
+            acc * inv_diag[q]
+        };
+    }
+}
+
 impl BlockKernel for AsyncJacobiKernel<'_> {
     fn n(&self) -> usize {
         self.plan.n()
@@ -1086,27 +1247,14 @@ impl BlockKernel for AsyncJacobiKernel<'_> {
         let nb = end - start;
         debug_assert_eq!(out.len(), nb);
         scratch.ensure(nb);
+        // Steps 1 and 2 read the iterate: the view is matched once here,
+        // and each arm runs a loop monomorphised over its read.
+        match *x {
+            XView::Plain(s) => self.load_block(b, |i| s[i], scratch),
+            XView::Atomic(a) => self.load_block(b, |i| a.get(i), scratch),
+            XView::Staged(h) => self.load_block(b, |i| h.get(i), scratch),
+        }
         let BlockScratch { cur, next, frozen } = scratch;
-
-        // Step 1: snapshot local values; zero the pad slots so ELL
-        // padding entries stay numerically inert.
-        for (li, c) in cur[..nb].iter_mut().enumerate() {
-            *c = x.get(start + li);
-        }
-        cur[nb] = 0.0;
-        next[nb] = 0.0;
-
-        // Step 2: freeze the off-block part — one linear gather per row
-        // over the packed halo (source CSR order, so bit-identical to
-        // the reference's two-span subtraction).
-        for (li, f) in frozen.iter_mut().enumerate() {
-            let (hc, hv) = self.plan.halo_row(start + li);
-            let mut acc = self.rhs[start + li];
-            for (&c, &v) in hc.iter().zip(hv) {
-                acc -= v * x.get(c);
-            }
-            *f = acc;
-        }
 
         // Step 3: `local_iters` sweeps on the packed local operator,
         // monomorphised over damping and layout.
@@ -1703,6 +1851,190 @@ mod tests {
         for ((x1, x2), t) in plain.x.iter().zip(&sten.x).zip(&x_true) {
             assert_eq!(x1.to_bits(), x2.to_bits(), "{x1} vs {x2}");
             assert!((x2 - t).abs() < 1e-8);
+        }
+    }
+
+    /// The stencil tier against the CSR tier, bit for bit, on the paths
+    /// the fixed-arity passes and the matrix-free halo freeze take.
+    mod stencil_bits {
+        use super::*;
+        use abr_gpu::{AtomicF64Vec, HaloView};
+        use abr_sparse::gen::{fv_stencil, laplacian_2d_5pt_stencil};
+        use abr_sparse::{CooMatrix, GridShape, StencilTap};
+        use proptest::prelude::*;
+
+        /// The matrix a descriptor describes: every on-grid tap and the
+        /// centre, row by row.
+        fn assemble(d: &StencilDescriptor) -> CsrMatrix {
+            let (m, dims) = match d.shape() {
+                GridShape::Square2d { m } => (m, 2),
+                GridShape::Cube3d { m } => (m, 3),
+            };
+            let n = d.n();
+            let mut coo = CooMatrix::new(n, n);
+            for r in 0..n {
+                let pos = if dims == 2 {
+                    [r / m, r % m, 0]
+                } else {
+                    [r / (m * m), r / m % m, r % m]
+                };
+                for t in d.taps() {
+                    let to = [pos[0] as i64 + t.di as i64, pos[1] as i64 + t.dj as i64, pos[2] as i64 + t.dk as i64];
+                    if to[..dims].iter().all(|&c| 0 <= c && c < m as i64) {
+                        let c = if dims == 2 {
+                            to[0] as usize * m + to[1] as usize
+                        } else {
+                            (to[0] as usize * m + to[1] as usize) * m + to[2] as usize
+                        };
+                        coo.push(r, c, t.coef).unwrap();
+                    }
+                }
+                coo.push(r, r, d.center()).unwrap();
+            }
+            coo.to_csr()
+        }
+
+        /// Distinct coefficient bits per tap, so a tap swapped for
+        /// another cannot go unnoticed.
+        fn coef(t: usize) -> f64 {
+            -(1.0 + 0.37 * t as f64) / 29.0
+        }
+
+        /// A 5x5 2D stencil: 24 taps, three chunks of the fixed arity.
+        fn wide_2d(m: usize) -> StencilDescriptor {
+            let mut taps = Vec::new();
+            for di in -2i32..=2 {
+                for dj in -2i32..=2 {
+                    if di != 0 || dj != 0 {
+                        taps.push(StencilTap { di, dj, dk: 0, coef: coef(taps.len()) });
+                    }
+                }
+            }
+            StencilDescriptor::new(GridShape::Square2d { m }, 4.5, taps).unwrap()
+        }
+
+        /// The 27-point 3D stencil: 26 taps, a partial last chunk.
+        fn point27_3d(m: usize) -> StencilDescriptor {
+            let mut taps = Vec::new();
+            for di in -1i32..=1 {
+                for dj in -1i32..=1 {
+                    for dk in -1i32..=1 {
+                        if (di, dj, dk) != (0, 0, 0) {
+                            taps.push(StencilTap { di, dj, dk, coef: coef(taps.len()) });
+                        }
+                    }
+                }
+            }
+            StencilDescriptor::new(GridShape::Cube3d { m }, 5.0, taps).unwrap()
+        }
+
+        /// Block boundaries from a seed: sizes 1..=`widest`, so 1-row
+        /// blocks and blocks that start mid grid row both occur.
+        fn ragged_partition(n: usize, widest: usize, seed: u64) -> RowPartition {
+            let mut offsets = vec![0];
+            let mut h = seed;
+            while *offsets.last().unwrap() < n {
+                h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let len = 1 + (h >> 33) as usize % widest;
+                offsets.push((offsets.last().unwrap() + len).min(n));
+            }
+            RowPartition::from_offsets(&offsets).unwrap()
+        }
+
+        fn iterate(n: usize, seed: u64, poisoned: bool) -> Vec<f64> {
+            let mut x: Vec<f64> = (0..n)
+                .map(|i| ((i as u64 * 2654435761 + seed) % 997) as f64 / 97.0 - 5.0)
+                .collect();
+            if poisoned {
+                let at = |j: u64| (seed.wrapping_mul(31).wrapping_add(j * 101) % n as u64) as usize;
+                x[at(0)] = f64::INFINITY;
+                x[at(1)] = f64::NEG_INFINITY;
+                x[at(2)] = f64::NAN;
+            }
+            x
+        }
+
+        /// Bitwise, with any two NaNs equal (payload propagation is the
+        /// one place IEEE 754 lets hardware differ).
+        fn bits_eq(a: f64, b: f64) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(40))]
+
+            #[test]
+            fn stencil_tier_matches_csr_tier_bitwise(
+                system in 0usize..4,
+                widest in 1usize..40,
+                k in 1usize..5,
+                damped in 0usize..2,
+                view in 0usize..3,
+                poisoned in 0usize..2,
+                seed in 0u64..1000,
+            ) {
+                let (a, d) = match system {
+                    0 => fv_stencil(9, 0.45).unwrap(),
+                    1 => laplacian_2d_5pt_stencil(8),
+                    2 => {
+                        let d = wide_2d(8);
+                        (assemble(&d), d)
+                    }
+                    _ => {
+                        let d = point27_3d(4);
+                        (assemble(&d), d)
+                    }
+                };
+                let n = a.n_rows();
+                let rhs = iterate(n, seed ^ 0x5eed, false);
+                let p = ragged_partition(n, widest, seed);
+                let tau = if damped == 1 { 0.8 } else { 1.0 };
+                let sten = AsyncJacobiKernel::with_sweep_and_stencil(
+                    &a, &rhs, &p, k, tau, LocalSweep::Jacobi, Some(&d),
+                )
+                .unwrap();
+                let mut csr = AsyncJacobiKernel::new(&a, &rhs, &p, k, tau).unwrap();
+                csr.force_tier(Some(SweepTier::Csr));
+                let x = iterate(n, seed, poisoned == 1);
+                let live = AtomicF64Vec::from_slice(&x);
+                // the stage lags the live iterate: remote rows differ
+                let stage = AtomicF64Vec::from_slice(&iterate(n, seed + 7, poisoned == 1));
+                let xv = match view {
+                    0 => XView::Plain(&x),
+                    1 => XView::Atomic(&live),
+                    _ => XView::Staged(HaloView::new(&live, &stage, n / 3, 2 * n / 3)),
+                };
+                let (mut s1, mut s2) = (BlockScratch::new(), BlockScratch::new());
+                for b in 0..sten.n_blocks() {
+                    prop_assert_eq!(sten.resolved_tier(b), SweepTier::Stencil);
+                    let (s, e) = sten.block_range(b);
+                    let mut o1 = vec![0.0; e - s];
+                    let mut o2 = vec![0.0; e - s];
+                    sten.update_block_with(b, &xv, &mut o1, &mut s1);
+                    csr.update_block_with(b, &xv, &mut o2, &mut s2);
+                    for (li, (v1, v2)) in o1.iter().zip(&o2).enumerate() {
+                        prop_assert!(
+                            bits_eq(*v1, *v2),
+                            "system {} block {} [{}, {}) row {}: {} vs {}",
+                            system, b, s, e, li, v1, v2
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn wide_descriptors_verify_and_split_into_chunks() {
+            // the assembled wide systems take the stencil tier, and their
+            // interior runs hold more taps than one fixed-arity pass
+            for d in [wide_2d(8), point27_3d(4)] {
+                let a = assemble(&d);
+                d.verify(&a).unwrap();
+                let p = RowPartition::uniform(a.n_rows(), a.n_rows()).unwrap();
+                let plan = BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap();
+                let widest = plan.stencil_block(0).unwrap().runs().iter().map(|r| r.taps.len());
+                assert!(widest.max().unwrap() > MAX_ARITY);
+            }
         }
     }
 }

@@ -158,13 +158,27 @@ pub trait UpdateFilter: Sync {
         let _ = (i, round);
         true
     }
+
+    /// `true` promises that [`component_enabled`](Self::component_enabled)
+    /// holds for every component in `[start, end)` at this `round`, so the
+    /// executors commit the block's values without asking per component.
+    /// `false` (the default) promises nothing: the executor asks each
+    /// component.
+    fn all_components_enabled(&self, start: usize, end: usize, round: usize) -> bool {
+        let _ = (start, end, round);
+        false
+    }
 }
 
 /// The trivial filter: everything runs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllowAll;
 
-impl UpdateFilter for AllowAll {}
+impl UpdateFilter for AllowAll {
+    fn all_components_enabled(&self, _start: usize, _end: usize, _round: usize) -> bool {
+        true
+    }
+}
 
 #[cfg(test)]
 pub(crate) mod test_kernels {
@@ -224,6 +238,7 @@ mod tests {
         let f = AllowAll;
         assert!(f.block_enabled(3, 100));
         assert!(f.component_enabled(7, 0));
+        assert!(f.all_components_enabled(0, 100, 3));
     }
 
     #[test]

@@ -1469,8 +1469,10 @@ fn sweep_and_commit(
         }
     }));
     if let Ok(estimate) = swept {
+        // one filter query per block when it filters no component here
+        let all = st.filter.all_components_enabled(bs, be, round);
         for (k, &v) in me.out.iter().enumerate() {
-            if st.filter.component_enabled(bs + k, round) {
+            if all || st.filter.component_enabled(bs + k, round) {
                 st.xa.set(bs + k, v);
             }
         }
@@ -1503,7 +1505,9 @@ struct FaultDetector {
     /// Workers declared dead or seen retired (sticky).
     dead: Vec<bool>,
     /// Per worker: the last heartbeat sampled, and the floor when it was
-    /// first seen.
+    /// first seen. Sampled for declared workers too: a spurious early
+    /// declaration must not freeze the baseline that a later real death's
+    /// release is measured from.
     hb_seen: Vec<usize>,
     hb_floor: Vec<usize>,
     /// Per shard: the floor at which its scheduled release fires.
@@ -1542,27 +1546,25 @@ impl FaultDetector {
     fn poll(&mut self, st: &RunState<'_>, force: bool) -> bool {
         let floor = st.skew.floor();
         for dw in 0..st.n_workers {
-            if self.dead[dw] {
-                continue;
-            }
             // sync: Acquire pairs with the worker's retirement Release
             // store — an exit observed here is never misread as a death.
-            if st.retired[dw].load(Ordering::Acquire) {
+            if !self.dead[dw] && st.retired[dw].load(Ordering::Acquire) {
                 self.dead[dw] = true;
                 continue;
             }
-            if !force {
-                // sync: Relaxed beacon sample (see the worker's beat
-                // site).
-                let hb = st.heartbeats[dw].load(Ordering::Relaxed);
-                if hb != self.hb_seen[dw] {
-                    self.hb_seen[dw] = hb;
-                    self.hb_floor[dw] = floor;
-                    continue;
-                }
-                if floor <= self.hb_floor[dw] || floor - self.hb_floor[dw] < self.detect_after {
-                    continue;
-                }
+            // sync: Relaxed beacon sample (see the worker's beat site).
+            let hb = st.heartbeats[dw].load(Ordering::Relaxed);
+            if hb != self.hb_seen[dw] {
+                self.hb_seen[dw] = hb;
+                self.hb_floor[dw] = floor;
+            }
+            if self.dead[dw] {
+                continue;
+            }
+            if !force
+                && (floor <= self.hb_floor[dw] || floor - self.hb_floor[dw] < self.detect_after)
+            {
+                continue;
             }
             // The heartbeat sat still while the floor ran `detect_after`
             // rounds past it (forced: while no worker beat for the whole
@@ -1577,22 +1579,30 @@ impl FaultDetector {
             });
         }
         // Recovery-(t_r) scheduling is decoupled from the declaration
-        // event: a shard is due for release `t_r` rounds after the first
-        // poll that observes it both orphaned and fully detected (every
-        // home worker declared dead). Tying it to the declaration itself
-        // loses recovery permanently when a spurious early declaration (a
-        // starved worker during spawn ramp-up) lands while the doomed
-        // shard is still Open — the sticky `dead` flag would then skip
-        // the real death.
+        // event: a shard is scheduled by the first poll that observes it
+        // both orphaned and fully detected (every home worker declared
+        // dead). Tying it to the declaration itself loses recovery
+        // permanently when a spurious early declaration (a starved worker
+        // during spawn ramp-up) lands while the doomed shard is still
+        // Open — the sticky `dead` flag would then skip the real death.
+        //
+        // The release is due `t_r` rounds after the floor at which a
+        // detector polling every round would have declared the last home
+        // worker: its last observed beat plus `detect_after`. Counting
+        // from the floor of the poll instead would add the monitor's poll
+        // gap twice (once to the declaration, once to the release), and
+        // on a saturated host, where the monitor wakes tens of rounds
+        // apart, push the release to the end of the budget.
         if let Some(t_r) = self.recovery {
             for s in 0..st.n_shards {
+                let homes = || (0..st.n_workers).filter(|&w| home_shard(w, st.n_shards) == s);
                 if self.reassign_due[s].is_none()
                     && st.shard_state[s].probe() == ShardPhase::Orphaned
-                    && (0..st.n_workers)
-                        .filter(|&w| home_shard(w, st.n_shards) == s)
-                        .all(|w| self.dead[w])
+                    && homes().all(|w| self.dead[w])
                 {
-                    self.reassign_due[s] = Some(floor + t_r);
+                    let detected = homes().map(|w| self.hb_floor[w]).max().unwrap_or(floor);
+                    let due = detected.saturating_add(self.detect_after).saturating_add(t_r);
+                    self.reassign_due[s] = Some(due);
                 }
             }
         }

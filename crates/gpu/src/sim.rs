@@ -249,10 +249,14 @@ impl SimExecutor {
                     kernel.update_block_with(d.block, &XView::Plain(&*x), out, &mut scratch);
                 }
                 EventKind::Finish => {
-                    let (s, _e) = kernel.block_range(d.block);
-                    for (k, &v) in out.iter().enumerate() {
-                        if filter.component_enabled(s + k, d.round) {
-                            x[s + k] = v;
+                    let (s, e) = kernel.block_range(d.block);
+                    if filter.all_components_enabled(s, e, d.round) {
+                        x[s..e].copy_from_slice(out);
+                    } else {
+                        for (k, &v) in out.iter().enumerate() {
+                            if filter.component_enabled(s + k, d.round) {
+                                x[s + k] = v;
+                            }
                         }
                     }
                     let old = trace.updates_per_block[d.block];

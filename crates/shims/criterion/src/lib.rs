@@ -9,7 +9,10 @@
 //! location estimate against OS scheduling noise).
 //!
 //! Results are printed as aligned text and, when `CRITERION_JSON` names a
-//! file, appended there as JSON lines for machine consumption.
+//! file, appended there as JSON lines for machine consumption. A JSON
+//! line carries that fastest-third mean as `mean_ns` and, over all of
+//! the benchmark's samples, `median_ns`, `p25_ns` and `p75_ns`, so a
+//! reader can see how widely one run's samples spread.
 //!
 //! Environment knobs: `CRITERION_SAMPLE_MS` (per-sample budget in
 //! milliseconds, default 20), `CRITERION_SAMPLES` (overrides every
@@ -78,6 +81,9 @@ pub struct Bencher {
     samples: usize,
     /// Mean ns/iter of the fastest-third samples, filled by `iter`.
     result_ns: f64,
+    /// First quartile, median and third quartile of the samples' ns/iter,
+    /// filled by `iter`.
+    quartiles_ns: [f64; 3],
     total_iters: u64,
 }
 
@@ -107,7 +113,19 @@ impl Bencher {
         per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let third = (per_iter.len() / 3).max(1);
         self.result_ns = per_iter[..third].iter().sum::<f64>() / third as f64;
+        self.quartiles_ns = [0.25, 0.5, 0.75].map(|p| quantile(&per_iter, p));
         self.total_iters = total_iters;
+    }
+}
+
+/// The `p`-quantile of ascending `sorted` (non-empty), interpolated
+/// linearly between the two samples around rank `p * (len - 1)`.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let rank = p * (sorted.len() - 1) as f64;
+    let (lo, frac) = (rank.floor() as usize, rank.fract());
+    match sorted.get(lo + 1) {
+        Some(&hi) if frac > 0.0 => sorted[lo] + frac * (hi - sorted[lo]),
+        _ => sorted[lo],
     }
 }
 
@@ -150,6 +168,7 @@ fn run_one(
         sample_budget: sample_budget(),
         samples,
         result_ns: f64::NAN,
+        quartiles_ns: [f64::NAN; 3],
         total_iters: 0,
     };
     f(&mut bencher);
@@ -168,15 +187,20 @@ fn run_one(
         if let Ok(mut file) =
             std::fs::OpenOptions::new().create(true).append(true).open(path)
         {
+            let [p25, p50, p75] = bencher.quartiles_ns;
             let mut extra = String::new();
             for (key, value) in meta {
                 extra.push_str(&format!(", \"{}\": {}", key.replace('"', "'"), value));
             }
             let _ = writeln!(
                 file,
-                "{{\"bench\": \"{}\", \"mean_ns\": {}, \"samples\": {}, \"iters\": {}{}}}",
+                "{{\"bench\": \"{}\", \"mean_ns\": {}, \"median_ns\": {}, \"p25_ns\": {}, \
+                 \"p75_ns\": {}, \"samples\": {}, \"iters\": {}{}}}",
                 full_name.replace('"', "'"),
                 ns,
+                p50,
+                p25,
+                p75,
                 bencher.samples,
                 bencher.total_iters,
                 extra,
@@ -312,10 +336,13 @@ mod tests {
             sample_budget: Duration::from_millis(1),
             samples: 3,
             result_ns: f64::NAN,
+            quartiles_ns: [f64::NAN; 3],
             total_iters: 0,
         };
         b.iter(|| black_box((0..100u64).sum::<u64>()));
         assert!(b.result_ns.is_finite() && b.result_ns > 0.0);
+        let [p25, p50, p75] = b.quartiles_ns;
+        assert!(0.0 < p25 && p25 <= p50 && p50 <= p75, "{:?}", b.quartiles_ns);
         assert!(b.total_iters > 0);
     }
 
@@ -324,6 +351,16 @@ mod tests {
         assert_eq!(BenchmarkId::new("f", 5).into_id(), "f/5");
         assert_eq!(BenchmarkId::from_parameter("x").into_id(), "x");
         assert_eq!("plain".into_id(), "plain");
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_samples() {
+        let s = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(quantile(&s, 0.5), 3.0);
+        assert_eq!(quantile(&s, 0.25), 2.0);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.75), 3.25);
+        assert_eq!(quantile(&[7.0], 0.25), 7.0);
     }
 
     #[test]

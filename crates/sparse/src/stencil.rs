@@ -14,15 +14,18 @@
 //!
 //! [`StencilDescriptor::compile_block`] lowers the descriptor to a
 //! [`StencilBlock`]: maximal runs of consecutive block rows that share
-//! the same in-block tap set. Inside a run the sweep loop is branch-free
-//! with **zero index loads** — the neighbour of local row `li` at tap
-//! offset `d` is `cur[li + d]`, a contiguous vectorizable load — and the
-//! taps are kept in ascending column order, so the floating-point
-//! accumulation visits entries in exactly the source-CSR order. Rows
-//! whose in-block neighbourhood is clipped by a grid edge or the block
-//! boundary simply form their own (shorter-tap) runs; off-block taps are
-//! the packed-halo entries the kernel freezes before sweeping, same as
-//! every other tier.
+//! the same valid-tap set *and* the same in-block tap set. Inside a run
+//! the sweep loop is branch-free with **zero index loads** — the
+//! neighbour of local row `li` at tap offset `d` is `cur[li + d]`, a
+//! contiguous vectorizable load — and the kernel holds the run's
+//! coefficients and offsets in registers. Each run also carries its
+//! off-block taps as global row offsets, so the kernel freezes the
+//! off-block part `b_r − Σ c·x[r + d]` without reading the stored halo
+//! either. Both tap lists are in ascending offset order, which is the
+//! source-CSR column order, so every floating-point accumulation visits
+//! entries exactly as the stored-matrix tiers do. Rows whose
+//! neighbourhood is clipped by a grid edge or the block boundary simply
+//! form their own (shorter-tap) runs.
 
 use crate::{CsrMatrix, Result, SparseError};
 
@@ -416,7 +419,8 @@ impl<'d> RowCursor<'d> {
 }
 
 /// Accumulates one block's [`StencilRun`]s row by row. Runs are keyed on
-/// the in-block tap mask; a run's tap list is built only when it starts.
+/// the row's valid-tap mask and its in-block tap mask; a run's tap lists
+/// are built only when it starts.
 pub(crate) struct RunBuilder {
     start: usize,
     end: usize,
@@ -426,14 +430,15 @@ pub(crate) struct RunBuilder {
     first: usize,
     last: usize,
     runs: Vec<StencilRun>,
-    mask: u64,
+    /// `(valid, in-block)` tap masks of the last run.
+    key: (u64, u64),
 }
 
 impl RunBuilder {
     /// A builder for block `[start, end)` of a descriptor with `n_taps`
     /// taps.
     pub(crate) fn new(start: usize, end: usize, n_taps: usize) -> Self {
-        RunBuilder { start, end, first: n_taps, last: n_taps, runs: Vec::new(), mask: 0 }
+        RunBuilder { start, end, first: n_taps, last: n_taps, runs: Vec::new(), key: (0, 0) }
     }
 
     /// Appends the cursor's current row, which must follow the last
@@ -447,14 +452,20 @@ impl RunBuilder {
         while self.last > 0 && lands_at_or_past(self.last - 1, self.end) {
             self.last -= 1;
         }
-        let mask = rows.valid() & low_bits(self.last) & !low_bits(self.first);
+        let valid = rows.valid();
+        let inside = valid & low_bits(self.last) & !low_bits(self.first);
         let li = (rows.r - self.start) as u32;
         match self.runs.last_mut() {
-            Some(run) if self.mask == mask => run.hi = li + 1,
+            Some(run) if self.key == (valid, inside) => run.hi = li + 1,
             _ => {
-                let taps = bits(mask).map(|t| (rows.taps[t].0, rows.d.taps[t].coef)).collect();
-                self.runs.push(StencilRun { lo: li, hi: li + 1, taps });
-                self.mask = mask;
+                let taps = |mask| bits(mask).map(|t| (rows.taps[t].0, rows.d.taps[t].coef));
+                self.runs.push(StencilRun {
+                    lo: li,
+                    hi: li + 1,
+                    taps: taps(inside).collect(),
+                    halo: taps(valid & !inside).collect(),
+                });
+                self.key = (valid, inside);
             }
         }
     }
@@ -464,19 +475,24 @@ impl RunBuilder {
     }
 }
 
-/// One maximal run of consecutive block-local rows sharing an in-block
-/// tap set. For every row `li` in `[lo, hi)` and tap `(d, c)`, the local
-/// operator entry is `c` at local column `li + d` — computed, never
-/// loaded.
+/// One maximal run of consecutive block-local rows sharing a valid-tap
+/// set and an in-block tap set. For every row `li` in `[lo, hi)` and
+/// in-block tap `(d, c)`, the local operator entry is `c` at local
+/// column `li + d`; for every off-block tap `(d, c)`, the row's halo
+/// entry is `c` at global column `start + li + d`. Both are computed,
+/// never loaded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StencilRun {
     /// First block-local row of the run.
     pub lo: u32,
     /// One past the last block-local row of the run.
     pub hi: u32,
-    /// `(block-local row offset, coefficient)` pairs in ascending offset
-    /// order (= the source-CSR accumulation order).
+    /// In-block `(row offset, coefficient)` pairs in ascending offset
+    /// order (= the source-CSR accumulation order of the local entries).
     pub taps: Vec<(isize, f64)>,
+    /// Off-block `(row offset, coefficient)` pairs in ascending offset
+    /// order (= the source-CSR order of the row's halo entries).
+    pub halo: Vec<(isize, f64)>,
 }
 
 /// The compiled matrix-free sweep plan of one block: its rows partitioned
@@ -496,6 +512,13 @@ impl StencilBlock {
     /// which is also the roofline read traffic: one `cur` load per tap).
     pub fn nnz_local_offdiag(&self) -> usize {
         self.runs.iter().map(|r| (r.hi - r.lo) as usize * r.taps.len()).sum()
+    }
+
+    /// Total off-block taps across all rows (the freeze's multiply count:
+    /// one iterate load per tap, and equal to the block's stored halo
+    /// entries).
+    pub fn nnz_halo(&self) -> usize {
+        self.runs.iter().map(|r| (r.hi - r.lo) as usize * r.halo.len()).sum()
     }
 }
 
@@ -607,6 +630,47 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn halo_taps_match_the_packed_halo() {
+        // every row's off-block taps, as global offsets, must be its
+        // packed halo entries in source-CSR order with bit-equal values;
+        // blocks start mid grid row and mid plane, and 1-row blocks put
+        // every tap but none off-grid into the halo
+        let systems = [
+            crate::gen::laplacian_2d_5pt_stencil(6),
+            crate::gen::laplacian_3d_7pt_stencil(5),
+            crate::gen::fv_stencil(12, 1.0).unwrap(),
+        ];
+        for (a, d) in &systems {
+            let n = a.n_rows();
+            for block in [1usize, 5, 13, 31] {
+                let p = crate::RowPartition::uniform(n, block).unwrap();
+                let plan = crate::BlockPlan::compile_with_stencil(a, &p, Some(d)).unwrap();
+                for b in 0..plan.n_blocks() {
+                    let (s, _) = plan.block_rows(b);
+                    let sb = plan.stencil_block(b).unwrap();
+                    let mut halo = 0;
+                    for run in sb.runs() {
+                        for w in run.halo.windows(2) {
+                            assert!(w[0].0 < w[1].0, "halo taps must stay in CSR order");
+                        }
+                        for li in run.lo..run.hi {
+                            let r = s + li as usize;
+                            let (hc, hv) = plan.halo_row(r);
+                            assert_eq!(hc.len(), run.halo.len(), "n {n} block {block} row {r}");
+                            for (k, &(off, coef)) in run.halo.iter().enumerate() {
+                                assert_eq!(hc[k], r.wrapping_add_signed(off), "row {r}");
+                                assert_eq!(hv[k].to_bits(), coef.to_bits(), "row {r}");
+                            }
+                            halo += hc.len();
+                        }
+                    }
+                    assert_eq!(sb.nnz_halo(), halo);
                 }
             }
         }
