@@ -628,10 +628,12 @@ impl ConvergenceMonitor for ResidualMonitor<'_> {
 /// At construction the `(matrix, partition)` pair is compiled into a
 /// [`BlockPlan`]: per block, a packed local operator with the diagonal
 /// pre-extracted and pre-inverted (plus a branch-free ELL variant for
-/// short-row blocks) and a packed halo segment. An update then is
+/// short-row blocks) and a packed halo segment; with a stencil
+/// descriptor, also matrix-free stencil runs. An update then is
 ///
-/// 1. one linear gather over the halo to freeze the off-block part,
-/// 2. `k` sweeps over the packed local operator,
+/// 1. one linear gather over the halo to freeze the off-block part (a
+///    stencil block computes it from its runs' off-block taps instead),
+/// 2. `k` sweeps over the packed local operator or the stencil runs,
 ///
 /// and with [`BlockKernel::update_block_with`] it performs **zero heap
 /// allocations** in steady state — the executors pass each worker's

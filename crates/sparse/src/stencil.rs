@@ -228,9 +228,10 @@ impl StencilDescriptor {
     }
 
     /// Lowers the descriptor to the matrix-free sweep plan of one block
-    /// (rows `[start, end)`): maximal runs of consecutive rows sharing an
-    /// in-block tap set. Off-block taps are excluded (the kernel freezes
-    /// them through the packed halo); tap offsets become block-local.
+    /// (rows `[start, end)`): maximal runs of consecutive rows sharing a
+    /// valid-tap set and an in-block tap set. Each run lists its in-block
+    /// taps (which the sweeps read) apart from its off-block taps (which
+    /// the kernel freezes before sweeping).
     pub fn compile_block(&self, start: usize, end: usize) -> StencilBlock {
         let mut rows = RowCursor::new(self, start);
         let mut runs = RunBuilder::new(start, end, self.taps.len());
