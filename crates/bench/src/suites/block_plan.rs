@@ -17,6 +17,14 @@
 //! [`AsyncJacobiKernel::force_tier`], so the same plan data is measured
 //! under every loop shape.
 //!
+//! Two more groups price the rest of a `fv_stencil_512` solve's set-up
+//! and monitoring: `plan_compile/fv_stencil_512` compiles the block plan
+//! without (`packed`) and with (`stencil`) the descriptor, through
+//! `BlockPlan::compile_with_stencil` as the kernel does; and
+//! `exact_check/fv_stencil_512` runs one exact residual check through the
+//! stored matrix (`csr`, `relative_residual_with`) and through the
+//! stencil runs (`stencil`, `stencil_relative_residual_with`).
+//!
 //! Every JSON line (set `CRITERION_JSON=BENCH_block_plan.json`) carries
 //! `n`, `nnz`, and a modelled roofline `bytes_per_update` — the memory
 //! traffic one component update costs under that tier, see
@@ -30,10 +38,11 @@
 
 use crate::bench_partition;
 use abr_core::async_block::{AsyncJacobiKernel, LocalSweep};
+use abr_core::convergence::{relative_residual_with, stencil_relative_residual_with};
 use abr_gpu::{BlockKernel, BlockScratch, XView};
 use abr_sparse::gen::{fv_stencil, laplacian_2d_5pt_stencil, random_diag_dominant};
 use abr_sparse::stencil::StencilDescriptor;
-use abr_sparse::{CsrMatrix, RowPartition, SweepTier};
+use abr_sparse::{BlockPlan, CsrMatrix, RowPartition, SweepTier};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 
 fn varied_iterate(n: usize) -> Vec<f64> {
@@ -230,9 +239,42 @@ pub fn bench_fv_stencil(c: &mut Criterion) {
     bench_one_system(c, "fv_stencil_512", &a, &p, Some(&d), &["csr", "simd", "stencil"]);
 }
 
+/// Plan compile and one exact residual check on the `fv_stencil_512`
+/// system and partition.
+pub fn bench_fv_setup(c: &mut Criterion) {
+    let (a, d) = fv_stencil(512, 1.0).expect("constant-coefficient fv");
+    let n = a.n_rows();
+    let p = bench_partition(n, 1024);
+    let meta = [("n", n as f64), ("nnz", a.nnz() as f64)];
+
+    let mut group = c.benchmark_group("plan_compile/fv_stencil_512");
+    group.sample_size(10).meta(&meta);
+    for (name, desc) in [("packed", None), ("stencil", Some(&d))] {
+        group.bench_function(name, |bch| {
+            bch.iter(|| black_box(BlockPlan::compile_with_stencil(&a, &p, desc).expect("compile")))
+        });
+    }
+    group.finish();
+
+    let rhs = a.mul_vec(&vec![1.0; n]).expect("square");
+    let x = varied_iterate(n);
+    let plan = BlockPlan::compile_with_stencil(&a, &p, Some(&d)).expect("verified stencil");
+    let mut buf = Vec::new();
+    let mut group = c.benchmark_group("exact_check/fv_stencil_512");
+    group.sample_size(20).meta(&meta);
+    group.bench_function("csr", |bch| {
+        bch.iter(|| black_box(relative_residual_with(&mut buf, &a, &rhs, black_box(&x))))
+    });
+    group.bench_function("stencil", |bch| {
+        bch.iter(|| black_box(stencil_relative_residual_with(&mut buf, &plan, &rhs, black_box(&x))))
+    });
+    group.finish();
+}
+
 /// The whole suite.
 pub fn all(c: &mut Criterion) {
     bench_laplacian(c);
     bench_random(c);
     bench_fv_stencil(c);
+    bench_fv_setup(c);
 }

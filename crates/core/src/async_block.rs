@@ -19,7 +19,7 @@
 //! for genuine hardware chaos.
 
 use crate::convergence::{
-    check_system, relative_residual_with, stop_rule, Progress, SolveOptions, SolveResult,
+    check_system, exact_residual, stop_rule, Progress, SolveOptions, SolveResult,
 };
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
@@ -263,6 +263,11 @@ impl AsyncBlockSolver {
     ///   default pacing. [`SolveResult::fault`] holds the fault report and
     ///   the history stays empty.
     ///
+    /// Every exact check, and the final residual, goes through the
+    /// kernel's stencil runs on one thread when its plan is a stencil plan
+    /// (bit-identical to the stored-matrix check; see
+    /// [`ResidualMonitor::with_plan`]).
+    ///
     /// Both arms end through the stopping rule every solve shares. A run a
     /// check stopped reports that check as its final residual and its
     /// watermark as its iterations (the threaded arm returns the snapshot
@@ -294,7 +299,7 @@ impl AsyncBlockSolver {
         assert!(self.local_iters >= 1, "async-(k) needs k >= 1");
         let mut schedule = self.schedule.build();
         let mut x = x0.to_vec();
-        let mut run = Progress::new(a, rhs, opts);
+        let mut run = Progress::new(a, rhs, opts).with_plan(kernel.plan());
         match &self.executor {
             ExecutorKind::Sim(sim_opts) => {
                 let RunSession { shards, halo, faults, cancel, pool } = session;
@@ -354,7 +359,8 @@ impl AsyncBlockSolver {
                     PersistentOptions { n_workers: threads.n_workers, ..Default::default() }
                 }));
                 let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
-                let mut monitor = ResidualMonitor::new(a, rhs, opts.tol, period);
+                let mut monitor =
+                    ResidualMonitor::new(a, rhs, opts.tol, period).with_plan(kernel.plan());
                 let mut ws = PersistentWorkspace::new();
                 let (trace, report) = exec.run_session(
                     kernel,
@@ -501,12 +507,16 @@ impl BlockSchedule for OffsetSchedule<'_> {
 /// The host-side concurrent convergence check of the threaded arm of
 /// [`AsyncBlockSolver::solve_session`]: every `period` global iterations it computes the relative
 /// residual of the monitor's snapshot (through the reused scratch buffer
-/// of [`relative_residual_with`]) and stops the workers once it meets a
-/// `tol > 0` — or once the iterate turns non-finite, the divergent regime
-/// the sim chunk loop also bails out of. Every solver loop of this crate
-/// stops by the same rule.
+/// of [`relative_residual_with`](crate::convergence::relative_residual_with),
+/// or of [`stencil_relative_residual_with`](crate::convergence::stencil_relative_residual_with)
+/// after [`with_plan`](Self::with_plan) with a stencil plan) and stops the
+/// workers once it meets a `tol > 0` — or once the iterate turns
+/// non-finite, the divergent regime the sim chunk loop also bails out of.
+/// Every solver loop of this crate stops by the same rule.
 pub struct ResidualMonitor<'a> {
     a: &'a CsrMatrix,
+    /// A stencil plan of `a`, when the checks go through its runs.
+    stencil: Option<&'a BlockPlan>,
     rhs: &'a [f64],
     tol: f64,
     period: usize,
@@ -568,6 +578,7 @@ impl<'a> ResidualMonitor<'a> {
     pub fn new(a: &'a CsrMatrix, rhs: &'a [f64], tol: f64, period: usize) -> Self {
         ResidualMonitor {
             a,
+            stencil: None,
             rhs,
             tol,
             period,
@@ -577,6 +588,16 @@ impl<'a> ResidualMonitor<'a> {
             urgent: false,
             checks: Vec::new(),
         }
+    }
+
+    /// Routes every exact check through `plan`'s stencil runs when `plan`
+    /// is a stencil plan of the monitor's matrix: `b − A x` on the calling
+    /// thread, with no stored matrix read, bit-identical to the
+    /// stored-matrix check (so the exact residual stays the only stopping
+    /// authority). A packed plan changes nothing.
+    pub fn with_plan(mut self, plan: &'a BlockPlan) -> Self {
+        self.stencil = plan.descriptor().is_some().then_some(plan);
+        self
     }
 
     /// Consumes the monitor, handing back its residual scratch buffer so
@@ -593,7 +614,7 @@ impl ConvergenceMonitor for ResidualMonitor<'_> {
 
     fn check(&mut self, global_iteration: usize, x: &[f64]) -> bool {
         self.fused_streak = 0;
-        let rr = relative_residual_with(&mut self.scratch, self.a, self.rhs, x);
+        let rr = exact_residual(&mut self.scratch, self.a, self.stencil, self.rhs, x);
         self.urgent = rr.is_finite() && rr <= self.tol * URGENT_BAND;
         self.checks.push((global_iteration, rr));
         stop_rule(self.tol, rr).0
@@ -683,8 +704,14 @@ impl<'a> AsyncJacobiKernel<'a> {
 
     /// Builds the kernel with an optional [`StencilDescriptor`] enabling
     /// the matrix-free sweep tier. The descriptor is verified against `a`
-    /// during plan compilation; a mismatch is an error, never a silent
-    /// fallback.
+    /// (during plan compilation, or before it); a mismatch is an error,
+    /// never a silent fallback.
+    ///
+    /// The plan becomes a stencil plan, which stores no packed operator,
+    /// only when the stencil tier will run: Jacobi sweeps with nonzero
+    /// damping. Gauss-Seidel sweeps and the `damping == 0` residual pass
+    /// walk the packed local rows, so those kernels compile the packed
+    /// plan after verifying the descriptor.
     pub fn with_sweep_and_stencil(
         a: &'a CsrMatrix,
         rhs: &'a [f64],
@@ -694,7 +721,14 @@ impl<'a> AsyncJacobiKernel<'a> {
         local_sweep: LocalSweep,
         descriptor: Option<&StencilDescriptor>,
     ) -> Result<Self> {
-        let plan = BlockPlan::compile_with_stencil(a, partition, descriptor)?;
+        let stencil_tier = local_sweep == LocalSweep::Jacobi && damping != 0.0;
+        let plan = match descriptor {
+            Some(d) if !stencil_tier => {
+                d.verify(a)?;
+                BlockPlan::compile(a, partition)?
+            }
+            _ => BlockPlan::compile_with_stencil(a, partition, descriptor)?,
+        };
         Ok(AsyncJacobiKernel {
             a,
             rhs,
@@ -714,8 +748,11 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// Pins every Jacobi block update to `tier` instead of the plan's
     /// per-block selection — the hook the equivalence proptests and the
     /// bench variants use to compare tiers on identical inputs. A tier a
-    /// block has no compiled data for (ELL on a wide block, stencil
-    /// without a descriptor) falls back to that block's compiled tier;
+    /// block has no compiled data for falls back to that block's compiled
+    /// tier: ELL on a wide block, stencil without a descriptor, and
+    /// `Csr`, `Ell` or `EllSimd` on a stencil plan (which stores no packed
+    /// rows, so it stays on `Stencil`). Comparing the stencil tier with
+    /// the others takes a second kernel built without a descriptor.
     /// `None` restores normal dispatch. Gauss-Seidel sweeps ignore this
     /// (GS is row-sequential and always walks the packed CSR).
     pub fn force_tier(&mut self, tier: Option<SweepTier>) {
@@ -730,7 +767,7 @@ impl<'a> AsyncJacobiKernel<'a> {
             None => compiled,
             Some(t) => {
                 let supported = match t {
-                    SweepTier::Csr => true,
+                    SweepTier::Csr => self.plan.descriptor().is_none(),
                     SweepTier::Ell | SweepTier::EllSimd => self.plan.ell(b).is_some(),
                     SweepTier::Stencil => self.plan.stencil_block(b).is_some(),
                 };
@@ -1161,6 +1198,64 @@ fn halo_pass<const N: usize, X: Fn(usize) -> f64>(
             acc -= coef[t] * x(r.wrapping_add_signed(off[t]));
         }
         frozen[li] = acc;
+    }
+}
+
+/// `y = A x` for a stencil plan's operator, run by run: each row's
+/// off-block taps, in-block taps and centre merged into ascending offset
+/// order (the source-CSR column order) and summed from `0.0`, as
+/// `CsrMatrix::spmv` sums a row, so every `y[r]` is bit-identical to the
+/// stored-matrix product. `y` holds `plan.n()` rows.
+pub(crate) fn stencil_mul(plan: &BlockPlan, x: &[f64], y: &mut [f64]) {
+    let center = plan.descriptor().expect("a stencil plan").center();
+    let mut row = Vec::new();
+    for b in 0..plan.n_blocks() {
+        let (start, end) = plan.block_rows(b);
+        let y = &mut y[start..end];
+        for run in plan.stencil_block(b).expect("a stencil plan").runs() {
+            row.clear();
+            row.extend(run.halo.iter().chain(&run.taps).copied());
+            row.push((0, center));
+            row.sort_unstable_by_key(|&(off, _)| off);
+            let rows = (run.lo as usize, run.hi as usize);
+            for (c, taps) in tap_chunks(&row).enumerate() {
+                if c == 0 {
+                    by_arity!(taps.len(), product_pass::<true>(taps, rows, start, x, y));
+                } else {
+                    by_arity!(taps.len(), product_pass::<false>(taps, rows, start, x, y));
+                }
+            }
+        }
+    }
+}
+
+/// `N` taps of a stencil row set over block-local rows `[lo, hi)`:
+/// `y[li] = seed + Σ c·x[start + li + d]`, the seed `0.0` for a row's
+/// first chunk (`FIRST`) and the partial sum in `y` after it. The taps'
+/// coefficients and `x` windows are fixed-size arrays taken once per
+/// pass, as in [`stencil_pass`].
+#[inline(always)]
+fn product_pass<const N: usize, const FIRST: bool>(
+    taps: &[(isize, f64)],
+    (lo, hi): (usize, usize),
+    start: usize,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let len = hi - lo;
+    let taps: &[(isize, f64); N] = taps.try_into().expect("chunk holds N taps");
+    let win: [&[f64]; N] = std::array::from_fn(|t| {
+        let j = (start + lo).wrapping_add_signed(taps[t].0);
+        &x[j..j + len]
+    });
+    let coef: [f64; N] = std::array::from_fn(|t| taps[t].1);
+    let out = &mut y[lo..hi];
+    for q in 0..len {
+        let mut acc = if FIRST { 0.0 } else { out[q] };
+        for t in 0..N {
+            acc += coef[t] * win[t][q];
+        }
+        out[q] = acc;
     }
 }
 
@@ -1769,7 +1864,9 @@ mod tests {
     fn forced_tiers_agree_bitwise_per_block() {
         // every Jacobi tier — CSR, scalar ELL, f64x4 ELL, matrix-free
         // stencil — on identical inputs, compared bit for bit; blocks of
-        // 14 rows start mid-grid-row so the stencil runs get clipped taps
+        // 14 rows start mid-grid-row so the stencil runs get clipped taps.
+        // A stencil plan stores no packed rows, so the stored-matrix tiers
+        // run on a second kernel compiled without the descriptor.
         let a = laplacian_2d_5pt(9);
         let n = 81;
         let rhs = a.mul_vec(&vec![1.0; n]).unwrap();
@@ -1777,10 +1874,13 @@ mod tests {
         let d = StencilDescriptor::poisson_2d_5pt(9);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0 - 0.5).collect();
         for damping in [1.0, 0.85] {
-            let mut k = AsyncJacobiKernel::with_sweep_and_stencil(
+            let mut sten = AsyncJacobiKernel::with_sweep_and_stencil(
                 &a, &rhs, &p, 4, damping, LocalSweep::Jacobi, Some(&d),
             )
             .unwrap();
+            let mut plain =
+                AsyncJacobiKernel::with_sweep(&a, &rhs, &p, 4, damping, LocalSweep::Jacobi)
+                    .unwrap();
             let mut base: Vec<Vec<f64>> = Vec::new();
             for tier in [
                 None,
@@ -1789,6 +1889,10 @@ mod tests {
                 Some(SweepTier::EllSimd),
                 Some(SweepTier::Stencil),
             ] {
+                let k = match tier {
+                    None | Some(SweepTier::Stencil) => &mut sten,
+                    Some(_) => &mut plain,
+                };
                 k.force_tier(tier);
                 let mut scratch = BlockScratch::new();
                 let mut outs = Vec::new();
@@ -1833,6 +1937,78 @@ mod tests {
         for b in 0..k.n_blocks() {
             assert_ne!(k.resolved_tier(b), SweepTier::Stencil);
             k.update_block_with(b, &XView::Plain(&x), &mut out, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn packed_tier_pins_on_a_stencil_plan_stay_on_stencil() {
+        let (a, d) = abr_sparse::gen::fv_stencil(8, 1.0).unwrap();
+        let rhs = vec![1.0; 64];
+        let p = RowPartition::uniform(64, 10).unwrap();
+        let mut k = AsyncJacobiKernel::with_sweep_and_stencil(
+            &a, &rhs, &p, 2, 1.0, LocalSweep::Jacobi, Some(&d),
+        )
+        .unwrap();
+        let x = vec![0.5; 64];
+        let mut scratch = BlockScratch::new();
+        for tier in [SweepTier::Csr, SweepTier::Ell, SweepTier::EllSimd] {
+            k.force_tier(Some(tier));
+            for b in 0..k.n_blocks() {
+                assert_eq!(k.resolved_tier(b), SweepTier::Stencil, "{tier:?} pin, block {b}");
+                let (s, e) = k.block_range(b);
+                k.update_block_with(b, &XView::Plain(&x), &mut vec![0.0; e - s], &mut scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn only_damped_jacobi_kernels_compile_a_stencil_plan() {
+        // Gauss-Seidel sweeps and the damping-0 residual pass walk the
+        // packed rows: those kernels get the packed plan, and still
+        // reject a descriptor that does not describe the matrix
+        let (a, d) = abr_sparse::gen::fv_stencil(8, 1.0).unwrap();
+        let rhs = vec![1.0; 64];
+        let p = RowPartition::uniform(64, 10).unwrap();
+        let kernel = |sweep, damping, d: &StencilDescriptor| {
+            AsyncJacobiKernel::with_sweep_and_stencil(&a, &rhs, &p, 2, damping, sweep, Some(d))
+        };
+        let packed = BlockPlan::compile(&a, &p).unwrap();
+        for (sweep, damping) in [
+            (LocalSweep::GaussSeidel, 1.0),
+            (LocalSweep::GaussSeidel, 0.0),
+            (LocalSweep::Jacobi, 0.0),
+        ] {
+            let k = kernel(sweep, damping, &d).unwrap();
+            assert_eq!(k.plan(), &packed, "{sweep:?} tau {damping}");
+            let wrong = StencilDescriptor::poisson_2d_5pt(8);
+            assert_eq!(kernel(sweep, damping, &wrong).err(), wrong.verify(&a).err());
+        }
+        for damping in [1.0, 0.8, -0.5] {
+            let k = kernel(LocalSweep::Jacobi, damping, &d).unwrap();
+            assert_eq!(k.plan().descriptor(), Some(&d), "tau {damping}");
+        }
+    }
+
+    #[test]
+    fn solves_off_the_stencil_tier_ignore_the_descriptor_bitwise() {
+        // sim arm to tolerance: Gauss-Seidel (packed plan either way) and
+        // damped Jacobi (stencil plan and stencil checks with the
+        // descriptor) give the bits of the plain solve
+        let (a, d) = abr_sparse::gen::fv_stencil(12, 1.0).unwrap();
+        let n = a.n_rows();
+        let rhs = a.mul_vec(&vec![1.0; n]).unwrap();
+        let p = RowPartition::uniform(n, 17).unwrap();
+        let opts = SolveOptions::to_tolerance(1e-10, 4000);
+        for (sweep, damping) in [(LocalSweep::GaussSeidel, 1.0), (LocalSweep::Jacobi, 0.8)] {
+            let solver =
+                AsyncBlockSolver { local_sweep: sweep, damping, ..AsyncBlockSolver::async_k(3) };
+            let plain = solver.solve(&a, &rhs, &vec![0.0; n], &p, &opts).unwrap();
+            let sten = solver.solve_with_stencil(&a, &rhs, &vec![0.0; n], &p, &d, &opts).unwrap();
+            assert!(sten.converged, "{sweep:?}: residual {}", sten.final_residual);
+            assert_eq!(plain.iterations, sten.iterations, "{sweep:?}");
+            assert_eq!(plain.final_residual.to_bits(), sten.final_residual.to_bits(), "{sweep:?}");
+            let same = plain.x.iter().zip(&sten.x).all(|(x1, x2)| x1.to_bits() == x2.to_bits());
+            assert!(same, "{sweep:?}: iterates differ");
         }
     }
 
@@ -2021,6 +2197,83 @@ mod tests {
                             system, b, s, e, li, v1, v2
                         );
                     }
+                }
+            }
+        }
+
+        /// The five stencil families: 2D 5-point, 3D 7-point, fv 9-point,
+        /// a 5x5 2D and the 27-point 3D stencil.
+        fn family(which: usize) -> (CsrMatrix, StencilDescriptor) {
+            let assembled = |d: StencilDescriptor| (assemble(&d), d);
+            match which {
+                0 => laplacian_2d_5pt_stencil(8),
+                1 => abr_sparse::gen::laplacian_3d_7pt_stencil(4),
+                2 => fv_stencil(9, 0.45).unwrap(),
+                3 => assembled(wide_2d(8)),
+                _ => assembled(point27_3d(4)),
+            }
+        }
+
+        #[test]
+        fn stencil_plan_costs_and_topology_match_the_packed_plan() {
+            // what every tier reads besides the operator: the runs-only
+            // plan must report the packed plan's counts, neighbours,
+            // costs and inverted diagonal, on ragged partitions with
+            // 1-row blocks
+            for which in 0..5 {
+                let (a, d) = family(which);
+                for (widest, seed) in [(1, 0), (3, 1), (9, 2), (17, 3), (40, 4)] {
+                    let p = ragged_partition(a.n_rows(), widest, seed);
+                    let sten = BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap();
+                    let packed = BlockPlan::compile(&a, &p).unwrap();
+                    let at = format!("family {which}, widest {widest}");
+                    assert_eq!(sten.nnz_local(), packed.nnz_local(), "{at}");
+                    assert_eq!(sten.nnz_halo(), packed.nnz_halo(), "{at}");
+                    assert_eq!(sten.widest_block(), packed.widest_block(), "{at}");
+                    for b in 0..p.len() {
+                        assert_eq!(sten.neighbors(b), packed.neighbors(b), "{at}, block {b}");
+                        assert_eq!(sten.block_nnz(b), packed.block_nnz(b), "{at}, block {b}");
+                    }
+                    let bits = |plan: &BlockPlan| -> Vec<u64> {
+                        plan.inv_diag().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&sten), bits(&packed), "{at}");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(500))]
+
+            #[test]
+            fn stencil_exact_check_matches_the_stored_matrix_check(
+                which in 0usize..5,
+                widest in 1usize..40,
+                iterate_kind in 0usize..3,
+                zero_rhs in 0usize..2,
+                seed in 0u64..1000,
+            ) {
+                use crate::convergence::{relative_residual_with, stencil_relative_residual_with};
+                let (a, d) = family(which);
+                let n = a.n_rows();
+                let p = ragged_partition(n, widest, seed);
+                let plan = BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap();
+                // a zero rhs stored as -0.0 keeps the sign of a zero row
+                // sum visible in `b - A x`; an iterate of signed zeros
+                // makes such sums
+                let rhs =
+                    if zero_rhs == 1 { vec![-0.0; n] } else { iterate(n, seed ^ 0x5eed, false) };
+                let x = match iterate_kind {
+                    0 => iterate(n, seed, false),
+                    1 => iterate(n, seed, true),
+                    _ => iterate(n, seed, false).iter().map(|v| 0.0f64.copysign(*v)).collect(),
+                };
+                let (mut r1, mut r2) = (Vec::new(), Vec::new());
+                let sten = stencil_relative_residual_with(&mut r1, &plan, &rhs, &x);
+                let csr = relative_residual_with(&mut r2, &a, &rhs, &x);
+                prop_assert!(bits_eq(sten, csr), "family {} residual: {} vs {}", which, sten, csr);
+                for (r, (v1, v2)) in r1.iter().zip(&r2).enumerate() {
+                    prop_assert!(bits_eq(*v1, *v2), "family {} row {}: {} vs {}", which, r, v1, v2);
                 }
             }
         }

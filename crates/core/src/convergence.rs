@@ -3,7 +3,7 @@
 
 use abr_sparse::block_plan::PAR_COMPILE_MIN_NNZ;
 use abr_sparse::par::ParContext;
-use abr_sparse::{blas1, CsrMatrix};
+use abr_sparse::{blas1, BlockPlan, CsrMatrix};
 
 /// Options common to all iterative solvers.
 #[derive(Debug, Clone)]
@@ -106,6 +106,36 @@ pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &
         a.spmv(x, buf)
     }
     .expect("dimensions checked by solver entry");
+    residual_norm(buf, b)
+}
+
+/// [`relative_residual_with`] for the operator of a stencil plan (one
+/// compiled with a [`abr_sparse::StencilDescriptor`], which verified that
+/// it describes the matrix exactly): `A x` is computed from the plan's
+/// stencil runs on one thread, with no stored matrix read, and the result
+/// is bit-identical to [`relative_residual_with`] of that matrix. Each
+/// row accumulates its taps and centre from `0.0` in ascending column
+/// order, as the stored-matrix product does, and the norms are the same
+/// sequential loops.
+///
+/// # Panics
+///
+/// When `plan` is not a stencil plan.
+pub fn stencil_relative_residual_with(
+    buf: &mut Vec<f64>,
+    plan: &BlockPlan,
+    b: &[f64],
+    x: &[f64],
+) -> f64 {
+    buf.clear();
+    buf.resize(plan.n(), 0.0);
+    crate::async_block::stencil_mul(plan, x, buf);
+    residual_norm(buf, b)
+}
+
+/// Turns `buf = A x` into `b - A x` and returns its norm relative to
+/// `‖b‖₂` (absolute when `b = 0`).
+fn residual_norm(buf: &mut [f64], b: &[f64]) -> f64 {
     for (ri, &bi) in buf.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
@@ -114,6 +144,22 @@ pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &
         blas1::norm2(buf)
     } else {
         blas1::norm2(buf) / nb
+    }
+}
+
+/// The exact residual check every monitor and stopping rule runs: through
+/// `stencil`'s runs when a stencil plan is given, else through the stored
+/// matrix. Bit-identical either way.
+pub(crate) fn exact_residual(
+    buf: &mut Vec<f64>,
+    a: &CsrMatrix,
+    stencil: Option<&BlockPlan>,
+    b: &[f64],
+    x: &[f64],
+) -> f64 {
+    match stencil {
+        Some(plan) => stencil_relative_residual_with(buf, plan, b, x),
+        None => relative_residual_with(buf, a, b, x),
     }
 }
 
@@ -135,6 +181,8 @@ pub(crate) fn stop_rule(tol: f64, rr: f64) -> (bool, bool) {
 /// [`stopped_by`](Self::stopped_by) or [`advance`](Self::advance) instead.
 pub(crate) struct Progress<'a> {
     a: &'a CsrMatrix,
+    /// A stencil plan of `a`, when its checks go through the stencil runs.
+    stencil: Option<&'a BlockPlan>,
     b: &'a [f64],
     opts: &'a SolveOptions,
     iterations: usize,
@@ -150,6 +198,7 @@ impl<'a> Progress<'a> {
     pub(crate) fn new(a: &'a CsrMatrix, b: &'a [f64], opts: &'a SolveOptions) -> Self {
         Progress {
             a,
+            stencil: None,
             b,
             opts,
             iterations: 0,
@@ -159,6 +208,14 @@ impl<'a> Progress<'a> {
             buf: Vec::new(),
             exact: None,
         }
+    }
+
+    /// Measures every residual through `plan`'s stencil runs when `plan`
+    /// is a stencil plan of the matrix (bit-identical, see
+    /// [`stencil_relative_residual_with`]); a packed plan changes nothing.
+    pub(crate) fn with_plan(mut self, plan: &'a BlockPlan) -> Self {
+        self.stencil = plan.descriptor().is_some().then_some(plan);
+        self
     }
 
     /// Whether another iteration is due: no stop yet and budget left.
@@ -289,7 +346,7 @@ impl<'a> Progress<'a> {
     }
 
     fn measure(&mut self, x: &[f64]) -> f64 {
-        relative_residual_with(&mut self.buf, self.a, self.b, x)
+        exact_residual(&mut self.buf, self.a, self.stencil, self.b, x)
     }
 }
 

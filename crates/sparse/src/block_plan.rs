@@ -26,6 +26,13 @@
 //! sweep over the plan is **bit-identical** to the same sweep over the
 //! global matrix (floating-point accumulation order is unchanged). The
 //! equivalence proptests in the workspace root assert exactly this.
+//!
+//! A plan compiled with a verified [`StencilDescriptor`] is a **stencil
+//! plan**: per block it holds only the matrix-free [`StencilBlock`] runs
+//! (plus the inverted diagonal, neighbours and costs every plan has), and
+//! none of the three packed structures above, since the stencil tier
+//! reads none of them. Code that walks the packed rows (Gauss-Seidel
+//! sweeps, the CSR and ELL tiers) needs a plan compiled without one.
 
 use crate::par::ParContext;
 use crate::partition::{RowBlock, RowPartition};
@@ -105,8 +112,9 @@ impl BlockEll {
     }
 }
 
-/// A compiled `(matrix, partition)` pair: packed local operators, packed
-/// halos, pre-inverted diagonal, coupling topology, per-block costs.
+/// A compiled `(matrix, partition)` pair: packed local operators and
+/// packed halos (or, for a stencil plan, the stencil runs instead),
+/// pre-inverted diagonal, coupling topology, per-block costs.
 ///
 /// # Examples
 ///
@@ -129,7 +137,8 @@ pub struct BlockPlan {
     /// Pre-inverted diagonal, `1 / a_rr` per row.
     inv_diag: Vec<f64>,
     /// Packed local operator (diagonal excluded), block-rebased `u32`
-    /// columns, rows concatenated in global row order.
+    /// columns, rows concatenated in global row order. Empty in a stencil
+    /// plan, as are the packed halo and the ELL layouts.
     local_row_ptr: Vec<usize>,
     local_cols: Vec<u32>,
     local_vals: Vec<f64>,
@@ -143,6 +152,8 @@ pub struct BlockPlan {
     /// Per block: matrix-free stencil runs, when compiled against a
     /// verified [`StencilDescriptor`].
     stencil: Vec<Option<StencilBlock>>,
+    /// The descriptor a stencil plan was compiled with.
+    descriptor: Option<StencilDescriptor>,
     /// Per block: the sweep implementation selected at compile time.
     tier: Vec<SweepTier>,
     /// Per block: total source nonzeros of its rows (virtual cost).
@@ -154,8 +165,8 @@ pub struct BlockPlan {
     widest_block: usize,
 }
 
-/// One block's share of the plan's flat arrays: disjoint `&mut` slices
-/// at the block's offsets, which its compile fills in place.
+/// One block's share of the packed arrays: disjoint `&mut` slices at the
+/// block's offsets, which its compile fills in place.
 struct BlockSlices<'p> {
     inv_diag: &'p mut [f64],
     /// The end pointers of the block's rows (entries `start + 1 ..= end`
@@ -194,12 +205,13 @@ impl BlockPlan {
         Self::compile_with_stencil(a, partition, None)
     }
 
-    /// Compiles the plan with an optional matrix-free stencil tier. The
-    /// descriptor is [`StencilDescriptor::verify`]-ed against `a` as part
-    /// of the compile — an `Err` (rather than a silent fallback) when it
-    /// does not describe the matrix exactly, so a caller opting a
-    /// hand-loaded matrix in learns immediately that the fast path would
-    /// have been wrong. The error is the one `verify` returns.
+    /// Compiles the plan, as a stencil plan (see the module docs) when a
+    /// descriptor is given. The descriptor is
+    /// [`StencilDescriptor::verify`]-ed against `a` as part of the compile
+    /// — an `Err` (rather than a silent fallback) when it does not
+    /// describe the matrix exactly, so a caller opting a hand-loaded
+    /// matrix in learns immediately that the fast path would have been
+    /// wrong. The error is the one `verify` returns.
     ///
     /// Large matrices (≥ [`PAR_COMPILE_MIN_NNZ`] nonzeros) compile their
     /// blocks concurrently on one thread per available core; the result is
@@ -221,22 +233,26 @@ impl BlockPlan {
     /// Compiles the plan with an explicit [`ParContext`] for the per-block
     /// compile fan-out.
     ///
-    /// Each block's packed structures depend only on `(a, partition,
-    /// descriptor)` restricted to that block's rows, so blocks compile
-    /// independently (in parallel). A first pass counts each block's
-    /// local and halo entries; their prefix sums give every block its own
-    /// slices of the flat arrays, which the second pass fills in place.
-    /// Every array in the result is therefore byte-for-byte identical for
-    /// every thread count.
+    /// Each block's structures depend only on `(a, partition, descriptor)`
+    /// restricted to that block's rows, so blocks compile independently
+    /// (in parallel), each into its own disjoint slices of the flat
+    /// arrays. Every array in the result is therefore byte-for-byte
+    /// identical for every thread count.
     ///
-    /// The descriptor's shape is checked up front; its rows are checked
-    /// inside the second pass, each row before it is split, with the same
-    /// row check [`StencilDescriptor::verify`] runs. Each block stops at
-    /// its lowest failing row and the first failing block's error is
-    /// returned, so the error is the sequential compile's first error.
-    /// With a descriptor that error is the one `verify` reports: the
-    /// stencil centre is nonzero, so a row without a usable diagonal
-    /// fails the stencil check before the diagonal check sees it.
+    /// Without a descriptor, a first pass counts each block's local and
+    /// halo entries; their prefix sums place every block's slices, which
+    /// the second pass fills in place. With one, the plan stores only what
+    /// the stencil tier reads: each block makes one pass over its rows,
+    /// checking each row with the row check [`StencilDescriptor::verify`]
+    /// runs and adding it to the block's stencil runs, and no packed local
+    /// operator, packed halo or ELL layout is built.
+    ///
+    /// The descriptor's shape is checked up front. Each block stops at its
+    /// lowest failing row and the first failing block's error is returned,
+    /// so the error is the sequential compile's first error. With a
+    /// descriptor that error is the one `verify` reports: the stencil
+    /// centre is nonzero, so a row without a usable diagonal fails the
+    /// stencil check.
     pub fn compile_with_ctx(
         a: &CsrMatrix,
         partition: &RowPartition,
@@ -251,86 +267,92 @@ impl BlockPlan {
         let n = a.n_rows();
         let blocks = partition.blocks();
         let n_blocks = partition.len();
-
-        let mut block_offsets = Vec::with_capacity(n_blocks + 1);
-        block_offsets.extend(blocks.iter().map(|b| b.start));
-        block_offsets.push(n);
-
-        let counts = ctx.map_indexed(n_blocks, |b| Self::count_block(a, &blocks[b]));
-        let total_local = counts.iter().map(|c| c.0).sum();
-        let total_halo = counts.iter().map(|c| c.1).sum();
-        let mut inv_diag = vec![0.0f64; n];
-        let mut local_row_ptr = vec![0usize; n + 1];
-        let mut local_cols = vec![0u32; total_local];
-        let mut local_vals = vec![0.0f64; total_local];
-        let mut halo_row_ptr = vec![0usize; n + 1];
-        let mut halo_cols = vec![0usize; total_halo];
-        let mut halo_vals = vec![0.0f64; total_halo];
-
-        // Running sums of the counts place each block's disjoint slices.
-        let mut slices = Vec::with_capacity(n_blocks);
-        {
-            let mut inv_diag = &mut inv_diag[..];
-            let mut local_ptr = &mut local_row_ptr[1..];
-            let mut local_cols = &mut local_cols[..];
-            let mut local_vals = &mut local_vals[..];
-            let mut halo_ptr = &mut halo_row_ptr[1..];
-            let mut halo_cols = &mut halo_cols[..];
-            let mut halo_vals = &mut halo_vals[..];
-            let (mut local_base, mut halo_base) = (0, 0);
-            for (blk, &(nl, nh)) in blocks.iter().zip(&counts) {
-                let nb = blk.len();
-                slices.push(BlockSlices {
-                    inv_diag: carve(&mut inv_diag, nb),
-                    local_ptr: carve(&mut local_ptr, nb),
-                    local_cols: carve(&mut local_cols, nl),
-                    local_vals: carve(&mut local_vals, nl),
-                    halo_ptr: carve(&mut halo_ptr, nb),
-                    halo_cols: carve(&mut halo_cols, nh),
-                    halo_vals: carve(&mut halo_vals, nh),
-                    local_base,
-                    halo_base,
-                });
-                local_base += nl;
-                halo_base += nh;
+        let row_ptr = a.row_ptr();
+        let mut plan = BlockPlan {
+            n,
+            block_offsets: blocks.iter().map(|b| b.start).chain([n]).collect(),
+            inv_diag: vec![0.0; n],
+            local_row_ptr: Vec::new(),
+            local_cols: Vec::new(),
+            local_vals: Vec::new(),
+            halo_row_ptr: Vec::new(),
+            halo_cols: Vec::new(),
+            halo_vals: Vec::new(),
+            ell: Vec::with_capacity(n_blocks),
+            stencil: Vec::with_capacity(n_blocks),
+            descriptor: descriptor.cloned(),
+            tier: Vec::with_capacity(n_blocks),
+            block_nnz: blocks.iter().map(|b| (row_ptr[b.end] - row_ptr[b.start]) as f64).collect(),
+            neighbors: Vec::with_capacity(n_blocks),
+            widest_block: blocks.iter().map(RowBlock::len).max().unwrap_or(0),
+        };
+        let compiled = match descriptor {
+            Some(d) => {
+                let mut rest = &mut plan.inv_diag[..];
+                let slices: Vec<_> = blocks.iter().map(|b| carve(&mut rest, b.len())).collect();
+                ctx.map_each(slices, |b, inv_diag| {
+                    Self::compile_stencil_block(a, partition, &blocks[b], d, inv_diag)
+                })
             }
-        }
-        let compiled = ctx.map_each(slices, |b, out| {
-            Self::compile_block(a, partition, &blocks[b], descriptor, out)
-        });
-
-        let mut ell = Vec::with_capacity(n_blocks);
-        let mut stencil = Vec::with_capacity(n_blocks);
-        let mut tier = Vec::with_capacity(n_blocks);
-        let mut neighbors = Vec::with_capacity(n_blocks);
+            None => plan.compile_packed(a, partition, ctx),
+        };
         for part in compiled {
             let part = part?;
-            ell.push(part.ell);
-            stencil.push(part.stencil);
-            tier.push(part.tier);
-            neighbors.push(part.neighbors);
+            plan.ell.push(part.ell);
+            plan.stencil.push(part.stencil);
+            plan.tier.push(part.tier);
+            plan.neighbors.push(part.neighbors);
         }
-        let row_ptr = a.row_ptr();
-        let block_nnz = blocks.iter().map(|b| (row_ptr[b.end] - row_ptr[b.start]) as f64).collect();
-        let widest_block = blocks.iter().map(RowBlock::len).max().unwrap_or(0);
+        Ok(plan)
+    }
 
-        Ok(BlockPlan {
-            n,
-            block_offsets,
-            inv_diag,
-            local_row_ptr,
-            local_cols,
-            local_vals,
-            halo_row_ptr,
-            halo_cols,
-            halo_vals,
-            ell,
-            stencil,
-            tier,
-            block_nnz,
-            neighbors,
-            widest_block,
-        })
+    /// Sizes the packed arrays from a counting pass and compiles every
+    /// block into its slices of them.
+    fn compile_packed(
+        &mut self,
+        a: &CsrMatrix,
+        partition: &RowPartition,
+        ctx: ParContext,
+    ) -> Vec<Result<CompiledBlock>> {
+        let n = self.n;
+        let blocks = partition.blocks();
+        let counts = ctx.map_indexed(blocks.len(), |b| Self::count_block(a, &blocks[b]));
+        let total_local = counts.iter().map(|c| c.0).sum();
+        let total_halo = counts.iter().map(|c| c.1).sum();
+        self.local_row_ptr = vec![0usize; n + 1];
+        self.local_cols = vec![0u32; total_local];
+        self.local_vals = vec![0.0f64; total_local];
+        self.halo_row_ptr = vec![0usize; n + 1];
+        self.halo_cols = vec![0usize; total_halo];
+        self.halo_vals = vec![0.0f64; total_halo];
+
+        // Running sums of the counts place each block's disjoint slices.
+        let mut slices = Vec::with_capacity(blocks.len());
+        let mut inv_diag = &mut self.inv_diag[..];
+        let mut local_ptr = &mut self.local_row_ptr[1..];
+        let mut local_cols = &mut self.local_cols[..];
+        let mut local_vals = &mut self.local_vals[..];
+        let mut halo_ptr = &mut self.halo_row_ptr[1..];
+        let mut halo_cols = &mut self.halo_cols[..];
+        let mut halo_vals = &mut self.halo_vals[..];
+        let (mut local_base, mut halo_base) = (0, 0);
+        for (blk, &(nl, nh)) in blocks.iter().zip(&counts) {
+            let nb = blk.len();
+            slices.push(BlockSlices {
+                inv_diag: carve(&mut inv_diag, nb),
+                local_ptr: carve(&mut local_ptr, nb),
+                local_cols: carve(&mut local_cols, nl),
+                local_vals: carve(&mut local_vals, nl),
+                halo_ptr: carve(&mut halo_ptr, nb),
+                halo_cols: carve(&mut halo_cols, nh),
+                halo_vals: carve(&mut halo_vals, nh),
+                local_base,
+                halo_base,
+            });
+            local_base += nl;
+            halo_base += nh;
+        }
+        ctx.map_each(slices, |b, out| Self::compile_block(a, partition, &blocks[b], out))
     }
 
     /// The `(local, halo)` entry counts [`compile_block`](Self::compile_block)
@@ -348,23 +370,18 @@ impl BlockPlan {
         (local, halo)
     }
 
-    /// Compiles one block into its slices of the flat arrays, each row
+    /// Compiles one block into its slices of the packed arrays, each row
     /// exactly as the sequential loop over all rows would, and returns
-    /// its per-block structures. With a descriptor each row is verified
-    /// before it is split and feeds the block's stencil runs.
+    /// its per-block structures.
     fn compile_block(
         a: &CsrMatrix,
         partition: &RowPartition,
         blk: &RowBlock,
-        descriptor: Option<&StencilDescriptor>,
         out: BlockSlices<'_>,
     ) -> Result<CompiledBlock> {
         let nb = blk.len();
         let (mut nl, mut nh) = (0usize, 0usize);
         let mut max_local_width = 0usize;
-        let mut stencil = descriptor.map(|d| {
-            (RowCursor::new(d, blk.start), RunBuilder::new(blk.start, blk.end, d.taps().len()))
-        });
         // Halo columns come in runs inside one neighbour block, so the
         // owner lookup is skipped while a column stays in the last one
         // found; `seen` dedupes the short neighbour list.
@@ -374,11 +391,6 @@ impl BlockPlan {
 
         for (li, r) in (blk.start..blk.end).enumerate() {
             let (cols, vals) = a.row(r);
-            if let Some((rows, runs)) = &mut stencil {
-                rows.verify_row(cols, vals)?;
-                runs.push(rows);
-                rows.advance();
-            }
             let mut found_diag = false;
             let local_start = nl;
             for (&c, &v) in cols.iter().zip(vals) {
@@ -419,14 +431,48 @@ impl BlockPlan {
         } else {
             None
         };
-        let stencil = stencil.map(|(_, runs)| runs.finish());
-        let tier = match (&stencil, &ell) {
-            (Some(_), _) => SweepTier::Stencil,
-            (None, Some(_)) if nb >= crate::simd::LANES => SweepTier::EllSimd,
-            (None, Some(_)) => SweepTier::Ell,
-            (None, None) => SweepTier::Csr,
+        let tier = match ell {
+            Some(_) if nb >= crate::simd::LANES => SweepTier::EllSimd,
+            Some(_) => SweepTier::Ell,
+            None => SweepTier::Csr,
         };
-        Ok(CompiledBlock { ell, stencil, tier, neighbors })
+        Ok(CompiledBlock { ell, stencil: None, tier, neighbors })
+    }
+
+    /// Compiles one block of a stencil plan: one pass over its rows, each
+    /// checked against the descriptor and added to the block's runs. The
+    /// neighbours come from the runs: an off-block tap of a run reads one
+    /// contiguous column range, owned by a contiguous range of blocks.
+    fn compile_stencil_block(
+        a: &CsrMatrix,
+        partition: &RowPartition,
+        blk: &RowBlock,
+        d: &StencilDescriptor,
+        inv_diag: &mut [f64],
+    ) -> Result<CompiledBlock> {
+        let mut rows = RowCursor::new(d, blk.start);
+        let mut runs = RunBuilder::new(blk.start, blk.end, d.taps().len());
+        for r in blk.start..blk.end {
+            let (cols, vals) = a.row(r);
+            rows.verify_row(cols, vals)?;
+            runs.push(&rows);
+            rows.advance();
+        }
+        // every row's stored diagonal is bit-equal to the centre
+        inv_diag.fill(1.0 / d.center());
+        let stencil = runs.finish();
+        let mut neighbors = Vec::new();
+        for run in stencil.runs() {
+            let (first, last) = (blk.start + run.lo as usize, blk.start + run.hi as usize - 1);
+            for &(off, _) in &run.halo {
+                let lo = partition.block_of(first.wrapping_add_signed(off));
+                let hi = partition.block_of(last.wrapping_add_signed(off));
+                neighbors.extend(lo..=hi);
+            }
+        }
+        neighbors.sort_unstable();
+        neighbors.dedup();
+        Ok(CompiledBlock { ell: None, stencil: Some(stencil), tier: SweepTier::Stencil, neighbors })
     }
 
     /// The ELL layout of a block whose local rows are already written.
@@ -480,6 +526,10 @@ impl BlockPlan {
 
     /// Packed local entries of global row `r` (diagonal excluded):
     /// block-rebased columns and values, in source CSR order.
+    ///
+    /// # Panics
+    ///
+    /// On a stencil plan, which stores no packed rows.
     #[inline]
     pub fn local_row(&self, r: usize) -> (&[u32], &[f64]) {
         let (lo, hi) = (self.local_row_ptr[r], self.local_row_ptr[r + 1]);
@@ -488,6 +538,10 @@ impl BlockPlan {
 
     /// Packed halo entries of global row `r`: global columns and values,
     /// in source CSR order.
+    ///
+    /// # Panics
+    ///
+    /// On a stencil plan, which stores no packed rows.
     #[inline]
     pub fn halo_row(&self, r: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.halo_row_ptr[r], self.halo_row_ptr[r + 1]);
@@ -495,7 +549,8 @@ impl BlockPlan {
     }
 
     /// ELL-packed local operator of block `b`, when the block qualifies
-    /// (all local rows at most [`ELL_MAX_WIDTH`] off-diagonal entries).
+    /// (all local rows at most [`ELL_MAX_WIDTH`] off-diagonal entries);
+    /// always `None` in a stencil plan.
     #[inline]
     pub fn ell(&self, b: usize) -> Option<&BlockEll> {
         self.ell[b].as_ref()
@@ -506,6 +561,13 @@ impl BlockPlan {
     #[inline]
     pub fn stencil_block(&self, b: usize) -> Option<&StencilBlock> {
         self.stencil[b].as_ref()
+    }
+
+    /// The descriptor a stencil plan was compiled with; `None` for a plan
+    /// that stores the packed operator.
+    #[inline]
+    pub fn descriptor(&self) -> Option<&StencilDescriptor> {
+        self.descriptor.as_ref()
     }
 
     /// The sweep tier selected for block `b` at compile time.
@@ -527,14 +589,19 @@ impl BlockPlan {
     }
 
     /// Nonzeros inside the partition's diagonal blocks (the `nnz_local`
-    /// input of the timing model); counts the diagonal.
+    /// input of the timing model); counts the diagonal. A stencil plan
+    /// counts its runs' in-block taps, which are the same entries.
     pub fn nnz_local(&self) -> usize {
-        self.local_cols.len() + self.n
+        // a plan holds packed rows or stencil runs, never both
+        let taps: usize = self.stencil.iter().flatten().map(StencilBlock::nnz_local_offdiag).sum();
+        self.n + self.local_cols.len() + taps
     }
 
-    /// Off-block nonzeros (the gathered halo entries).
+    /// Off-block nonzeros (the gathered halo entries, or a stencil plan's
+    /// off-block taps).
     pub fn nnz_halo(&self) -> usize {
-        self.halo_cols.len()
+        let taps: usize = self.stencil.iter().flatten().map(StencilBlock::nnz_halo).sum();
+        self.halo_cols.len() + taps
     }
 }
 
@@ -655,6 +722,22 @@ mod tests {
             assert_eq!(plan.tier(b), SweepTier::Stencil);
             assert!(plan.stencil_block(b).is_some(), "stencil runs must be compiled");
         }
+    }
+
+    #[test]
+    fn stencil_plan_stores_no_packed_operator() {
+        let (a, d) = fv_stencil(9, 1.0).unwrap();
+        let p = RowPartition::uniform(a.n_rows(), 10).unwrap();
+        let plan = BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap();
+        assert_eq!(plan.descriptor(), Some(&d));
+        for b in 0..plan.n_blocks() {
+            assert!(plan.ell(b).is_none(), "block {b} packed an ELL layout");
+            assert_eq!(plan.tier(b), SweepTier::Stencil);
+        }
+        assert!(plan.local_cols.is_empty() && plan.local_row_ptr.is_empty());
+        assert!(plan.halo_cols.is_empty() && plan.halo_row_ptr.is_empty());
+        assert!(std::panic::catch_unwind(|| plan.local_row(0)).is_err());
+        assert!(BlockPlan::compile(&a, &p).unwrap().descriptor().is_none());
     }
 
     #[test]

@@ -270,7 +270,8 @@ impl std::fmt::Display for RowFault {
 /// with carries. A row's valid taps are a bitmask (bit `t` = tap `t` of
 /// [`StencilDescriptor::taps`] stays on the grid at this row): the AND of
 /// one cached mask per axis, of which a step recomputes only the axes
-/// that moved.
+/// that moved, and only near a grid edge: a position out of every tap's
+/// reach of both edges has all taps valid along that axis.
 pub(crate) struct RowCursor<'d> {
     d: &'d StencilDescriptor,
     /// Per tap, in tap order (ascending): signed row offset and the
@@ -287,6 +288,8 @@ pub(crate) struct RowCursor<'d> {
     pos: [usize; 3],
     /// Per axis: the taps that stay on the grid along it at `pos`.
     on_axis: [u64; 3],
+    /// Per axis: the largest tap step towards the low and the high edge.
+    reach: [(usize, usize); 3],
     r: usize,
     /// The entries a row with valid-tap mask `expected_for` must hold:
     /// `(row offset, coefficient bits)` of its valid taps and the
@@ -330,6 +333,14 @@ impl<'d> RowCursor<'d> {
                 (m, 2, [r / plane, rem / m.max(1), rem % m.max(1)])
             }
         };
+        let mut reach = [(0, 0); 3];
+        for t in &d.taps {
+            for (axis, step) in [t.di, t.dj, t.dk].into_iter().enumerate() {
+                let (down, up) = &mut reach[axis];
+                *down = (*down).max((-step).max(0) as usize);
+                *up = (*up).max(step.max(0) as usize);
+            }
+        }
         let mut cursor = RowCursor {
             d,
             taps,
@@ -338,6 +349,7 @@ impl<'d> RowCursor<'d> {
             fast,
             pos,
             on_axis: [0; 3],
+            reach,
             r,
             expected: Vec::new(),
             expected_for: None,
@@ -353,6 +365,10 @@ impl<'d> RowCursor<'d> {
     /// unsigned compare covers both grid edges.
     fn axis_mask(&self, axis: usize) -> u64 {
         let p = self.pos[axis];
+        let (down, up) = self.reach[axis];
+        if p >= down && p + up < self.m {
+            return low_bits(self.taps.len());
+        }
         let mut mask = 0u64;
         for (t, tap) in self.d.taps.iter().enumerate() {
             let d = [tap.di, tap.dj, tap.dk][axis];
@@ -639,9 +655,11 @@ mod tests {
     #[test]
     fn halo_taps_match_the_packed_halo() {
         // every row's off-block taps, as global offsets, must be its
-        // packed halo entries in source-CSR order with bit-equal values;
-        // blocks start mid grid row and mid plane, and 1-row blocks put
-        // every tap but none off-grid into the halo
+        // packed halo entries (from a second plan compiled without the
+        // descriptor, since a stencil plan stores none) in source-CSR
+        // order with bit-equal values; blocks start mid grid row and mid
+        // plane, and 1-row blocks put every tap but none off-grid into
+        // the halo
         let systems = [
             crate::gen::laplacian_2d_5pt_stencil(6),
             crate::gen::laplacian_3d_7pt_stencil(5),
@@ -652,6 +670,7 @@ mod tests {
             for block in [1usize, 5, 13, 31] {
                 let p = crate::RowPartition::uniform(n, block).unwrap();
                 let plan = crate::BlockPlan::compile_with_stencil(a, &p, Some(d)).unwrap();
+                let packed = crate::BlockPlan::compile(a, &p).unwrap();
                 for b in 0..plan.n_blocks() {
                     let (s, _) = plan.block_rows(b);
                     let sb = plan.stencil_block(b).unwrap();
@@ -662,7 +681,7 @@ mod tests {
                         }
                         for li in run.lo..run.hi {
                             let r = s + li as usize;
-                            let (hc, hv) = plan.halo_row(r);
+                            let (hc, hv) = packed.halo_row(r);
                             assert_eq!(hc.len(), run.halo.len(), "n {n} block {block} row {r}");
                             for (k, &(off, coef)) in run.halo.iter().enumerate() {
                                 assert_eq!(hc[k], r.wrapping_add_signed(off), "row {r}");

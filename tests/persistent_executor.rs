@@ -11,8 +11,10 @@
 //! and leased pools alike, without hanging it.
 
 use block_async_relax::core::async_block::AsyncJacobiKernel;
-use block_async_relax::core::convergence::relative_residual;
-use block_async_relax::core::{AsyncBlockSolver, ExecutorKind, ResidualMonitor, SolveOptions};
+use block_async_relax::core::convergence::{relative_residual, relative_residual_with};
+use block_async_relax::core::{
+    AsyncBlockSolver, ExecutorKind, LocalSweep, ResidualMonitor, SolveOptions,
+};
 use block_async_relax::gpu::kernel::AllowAll;
 use block_async_relax::gpu::schedule::RoundRobin;
 use block_async_relax::gpu::{
@@ -20,7 +22,7 @@ use block_async_relax::gpu::{
     PersistentWorkspace, RunOutcome, RunSession, SimOptions, ThreadedOptions, WorkerPool, XView,
 };
 use std::time::{Duration, Instant};
-use block_async_relax::sparse::gen::{laplacian_2d_5pt, trefethen};
+use block_async_relax::sparse::gen::{fv_stencil, laplacian_2d_5pt, trefethen};
 use block_async_relax::sparse::{CsrMatrix, RowPartition};
 
 /// Independent residual check: `||b - Ax||_2 / ||b||_2` computed directly,
@@ -151,6 +153,52 @@ fn a_stopped_threaded_solve_reports_the_check_that_stopped_it() {
             fs.result.final_residual.to_bits(),
             relative_residual(a, &b, &fs.result.x).to_bits()
         );
+    }
+}
+
+/// The same for a stencil solve, whose monitor and final measure compute
+/// `b − A x` from the stencil runs instead of the stored matrix: a stopped
+/// run's final residual and stopping check equal the stored-matrix
+/// residual of the returned iterate bit for bit, with 1 and 2 workers and
+/// an uneven last block.
+#[test]
+fn a_stopped_threaded_stencil_solve_reports_the_stored_matrix_residual() {
+    let (a, d) = fv_stencil(40, 1.0).expect("constant-coefficient fv");
+    let n = a.n_rows();
+    let b = a.mul_vec(&(0..n).map(|i| (i % 7) as f64 - 2.5).collect::<Vec<_>>()).expect("square");
+    let x0 = vec![0.0; n];
+    let p = RowPartition::uniform(n, 96).expect("partition");
+    let kernel =
+        AsyncJacobiKernel::with_sweep_and_stencil(&a, &b, &p, 5, 1.0, LocalSweep::Jacobi, Some(&d))
+            .expect("verified stencil");
+    assert!(kernel.plan().descriptor().is_some());
+    let opts =
+        SolveOptions { max_iters: 20_000, tol: 1e-9, record_history: false, check_every: 10 };
+    let mut buf = Vec::new();
+    for workers in [1, 2] {
+        let solver = AsyncBlockSolver {
+            executor: ExecutorKind::Threaded(ThreadedOptions {
+                n_workers: workers,
+                snapshot_rounds: false,
+            }),
+            ..AsyncBlockSolver::async_k(5)
+        };
+        let mut stopped = 0;
+        for _ in 0..5 {
+            let fs = solver
+                .solve_session(&a, &b, &x0, &kernel, &opts, &AllowAll, None, RunSession::default())
+                .expect("solve");
+            let r = &fs.result;
+            let exact = relative_residual_with(&mut buf, &a, &b, &r.x).to_bits();
+            assert_eq!(r.final_residual.to_bits(), exact, "{}", run_summary(r));
+            if fs.report.outcome == RunOutcome::Stopped {
+                stopped += 1;
+                assert!(r.converged, "{workers} workers: {}", run_summary(r));
+                let check = fs.checks.last().expect("a stop is a check").1;
+                assert_eq!(check.to_bits(), exact, "{workers} workers: {}", run_summary(r));
+            }
+        }
+        assert!(stopped > 0, "{workers} workers: no run stopped");
     }
 }
 
