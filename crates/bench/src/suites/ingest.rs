@@ -1,5 +1,5 @@
-//! Text ingest and the wire codec, the two text layers in front of a
-//! solve.
+//! Text ingest, the wire codec and the matrix generators: the stages in
+//! front of a solve that make its matrix.
 //!
 //! * `ingest_mtx/<system>` — `read_matrix_market` (one parse thread per
 //!   core, capped at 8) on each of the five Table 1 substitutes the
@@ -13,16 +13,22 @@
 //!   `Request::render` on a `serve_ingest`-shaped solve frame: an
 //!   explicit random diagonally dominant CSR system with n = 20,000 and
 //!   about 180k nonzeros (a ~5 MB frame), no right-hand side.
+//! * `gen/{fv_stencil_512, laplacian_2d_5pt_1024, fv1}` — the generators
+//!   behind the benchmark's set-ups: `gen::fv_stencil(512, 1.0)` (the
+//!   `solve_fv1m` system), `gen::laplacian_2d_5pt(1024)` (the largest
+//!   `lap2d` system a default daemon admits) and the Table 1 fv1
+//!   substitute, whose build is mostly its Lanczos run.
 //!
 //! Every JSON line (set `CRITERION_JSON=BENCH_ingest.json`) carries the
-//! input's size: `bytes` and `nnz`, plus `threads` for the `.mtx` rows.
+//! input's size: `bytes` and `nnz` (only `nnz` and `rows` for the `gen`
+//! rows), plus `threads` for the `.mtx` rows.
 //! The committed rows also name the host and code they were measured on
 //! (`cores`, `target_cpu`, `commit`, and `side`): a `before` row runs
 //! this suite against the library at `commit`, the parent of the change
 //! it prices, and an `after` row against the change itself.
 
 use abr_service::{MatrixSpec, Mode, Request, SolveSpec};
-use abr_sparse::gen::{random_diag_dominant, TestMatrix};
+use abr_sparse::gen::{self, random_diag_dominant, TestMatrix};
 use abr_sparse::io::{read_matrix_market, write_matrix_market};
 use abr_sparse::CsrMatrix;
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
@@ -42,6 +48,7 @@ pub fn all(c: &mut Criterion) {
     bench_mtx(c);
     bench_mtx_uf(c);
     bench_wire(c);
+    bench_gen(c);
 }
 
 /// `read_matrix_market` on each Table 1 substitute.
@@ -131,5 +138,23 @@ pub fn bench_wire(c: &mut Criterion) {
     group.bench_function("request_render", |b| {
         b.iter(|| black_box(black_box(&request).render()))
     });
+    group.finish();
+}
+
+/// The generators behind the benchmark's set-ups, each building its
+/// matrix from nothing.
+pub fn bench_gen(c: &mut Criterion) {
+    type Build = fn() -> CsrMatrix;
+    let builds: [(&str, Build); 3] = [
+        ("fv_stencil_512", || gen::fv_stencil(512, 1.0).expect("well-formed stencil").0),
+        ("laplacian_2d_5pt_1024", || gen::laplacian_2d_5pt(1024)),
+        ("fv1", || TestMatrix::Fv1.build().expect("generator")),
+    ];
+    let mut group = c.benchmark_group("gen");
+    for (name, build) in builds {
+        let a = build();
+        group.meta(&[("rows", a.n_rows() as f64), ("nnz", a.nnz() as f64)]);
+        group.bench_function(name, |b| b.iter(|| black_box(build())));
+    }
     group.finish();
 }

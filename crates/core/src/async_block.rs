@@ -2201,6 +2201,51 @@ mod tests {
             }
         }
 
+        #[test]
+        fn descriptor_assembly_is_the_tap_by_tap_matrix_on_any_grid() {
+            // from one node a side up, so grids narrower than the stencil,
+            // where taps collide in row offset, are covered: the
+            // descriptor's own assembly is the matrix its taps describe,
+            // and the stencil tier sweeps it as the CSR tier does
+            let grids = (1..=9).map(wide_2d).chain((1..=5).map(point27_3d)).chain([
+                StencilDescriptor::fv_9pt(2, 0.45).unwrap(),
+                StencilDescriptor::poisson_2d_5pt(1),
+                StencilDescriptor::poisson_3d_7pt(1),
+            ]);
+            for d in grids {
+                let a = d.assemble();
+                let oracle = assemble(&d);
+                let at = format!("{:?}", d.shape());
+                assert_eq!(a.row_ptr(), oracle.row_ptr(), "{at}");
+                assert_eq!(a.col_idx(), oracle.col_idx(), "{at}");
+                assert_eq!(bits_of(a.values()), bits_of(oracle.values()), "{at}");
+                let n = a.n_rows();
+                let rhs = iterate(n, 3, false);
+                let x = iterate(n, 4, false);
+                for widest in [1, 3, 8] {
+                    let p = ragged_partition(n, widest, widest as u64);
+                    let sten = AsyncJacobiKernel::with_sweep_and_stencil(
+                        &a, &rhs, &p, 2, 1.0, LocalSweep::Jacobi, Some(&d),
+                    )
+                    .unwrap();
+                    let mut csr = AsyncJacobiKernel::new(&a, &rhs, &p, 2, 1.0).unwrap();
+                    csr.force_tier(Some(SweepTier::Csr));
+                    let (mut s1, mut s2) = (BlockScratch::new(), BlockScratch::new());
+                    for b in 0..sten.n_blocks() {
+                        let (s, e) = sten.block_range(b);
+                        let (mut o1, mut o2) = (vec![0.0; e - s], vec![0.0; e - s]);
+                        sten.update_block_with(b, &XView::Plain(&x), &mut o1, &mut s1);
+                        csr.update_block_with(b, &XView::Plain(&x), &mut o2, &mut s2);
+                        assert_eq!(bits_of(&o1), bits_of(&o2), "{at}, widest {widest}, block {b}");
+                    }
+                }
+            }
+        }
+
+        fn bits_of(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
         /// The five stencil families: 2D 5-point, 3D 7-point, fv 9-point,
         /// a 5x5 2D and the 27-point 3D stencil.
         fn family(which: usize) -> (CsrMatrix, StencilDescriptor) {

@@ -744,7 +744,7 @@ mod tests {
     fn stencil_compile_rejects_mismatched_descriptor() {
         let a = laplacian_2d_5pt(5);
         let p = RowPartition::uniform(25, 5).unwrap();
-        let d = crate::stencil::StencilDescriptor::fv_9pt(5, 0.0); // wrong stencil
+        let d = crate::stencil::StencilDescriptor::fv_9pt(5, 0.0).unwrap(); // wrong stencil
         assert!(matches!(
             BlockPlan::compile_with_stencil(&a, &p, Some(&d)).unwrap_err(),
             SparseError::Stencil(_)

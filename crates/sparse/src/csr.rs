@@ -490,6 +490,16 @@ impl CsrMatrix {
         Ok(())
     }
 
+    /// Rewrites every stored value in place as `f(row, col, value)`; the
+    /// sparsity pattern is kept, zeros included.
+    pub(crate) fn map_values(&mut self, mut f: impl FnMut(usize, usize, f64) -> f64) {
+        for r in 0..self.n_rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                self.values[k] = f(r, self.col_idx[k], self.values[k]);
+            }
+        }
+    }
+
     /// Entry-wise absolute value `|A|`.
     pub fn abs(&self) -> CsrMatrix {
         let mut out = self.clone();

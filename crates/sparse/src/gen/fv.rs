@@ -24,23 +24,26 @@ use crate::stencil::StencilDescriptor;
 use crate::{CsrMatrix, Result, SparseError};
 
 /// The 9-point FEM Laplacian with diagonal shift `sigma` and symmetric
-/// grading over `grading_decades` decades on an `m x m` grid.
+/// grading over `grading_decades` decades on an `m x m` grid: the
+/// [`StencilDescriptor::fv_9pt`] stencil, assembled and graded in place.
+/// A shift that cancels the diagonal (`sigma = -8/3`) is an error.
 pub fn fv(m: usize, sigma: f64, grading_decades: f64) -> Result<CsrMatrix> {
-    let k = laplacian_2d_9pt(m);
-    let n = m * m;
-    let shifted = k.add_scaled(1.0, &CsrMatrix::identity(n), sigma)?;
-    super::grade_radial(shifted, m, grading_decades)
+    let mut a = StencilDescriptor::fv_9pt(m, sigma)?.assemble();
+    super::grade_radial(&mut a, m, grading_decades);
+    Ok(a)
 }
 
 /// The *ungraded* `fv` matrix (`grading_decades = 0`) paired with its
 /// [`StencilDescriptor`]: centre `8/3 + sigma`, eight `-1/3` neighbours.
-/// Graded variants are not constant-coefficient and have no stencil form;
-/// the descriptor is verified against the assembled matrix here (an `Err`
-/// would mean generator and descriptor drifted apart), so callers can
-/// hand the pair straight to the matrix-free sweep tier.
+/// Graded variants are not constant-coefficient and have no stencil form.
+/// The matrix is assembled from the descriptor, and the descriptor is
+/// still verified against it here (an `Err` would mean generator and
+/// descriptor drifted apart), so callers can hand the pair straight to
+/// the matrix-free sweep tier. A shift that cancels the centre is an
+/// error.
 pub fn fv_stencil(m: usize, sigma: f64) -> Result<(CsrMatrix, StencilDescriptor)> {
     let a = fv(m, sigma, 0.0)?;
-    let d = StencilDescriptor::fv_9pt(m, sigma);
+    let d = StencilDescriptor::fv_9pt(m, sigma)?;
     d.verify(&a)?;
     Ok((a, d))
 }
@@ -52,7 +55,7 @@ pub fn fv_stencil(m: usize, sigma: f64) -> Result<(CsrMatrix, StencilDescriptor)
 /// shift grows. Targets at or above 1 would require a shift that destroys
 /// positive definiteness and are rejected.
 pub fn fv_with_target_rho(m: usize, target_rho: f64, grading_decades: f64) -> Result<CsrMatrix> {
-    let k = laplacian_2d_9pt(m);
+    let mut k = laplacian_2d_9pt(m);
     let d0 = 8.0 / 3.0;
     let est = lanczos_extreme(&k, 200.min(m * m))?;
     let numerator = (d0 - est.lambda_min).max(est.lambda_max - d0);
@@ -73,7 +76,12 @@ pub fn fv_with_target_rho(m: usize, target_rho: f64, grading_decades: f64) -> Re
             "upper spectrum violates the requested rho; decrease target".into(),
         ));
     }
-    fv(m, sigma, grading_decades)
+    // K becomes `fv(m, sigma, grading_decades)` in place: its diagonal
+    // takes the shifted stencil's centre, whose bits are `d0 + sigma`.
+    let centre = StencilDescriptor::fv_9pt(m, sigma)?.center();
+    k.map_values(|r, c, v| if r == c { centre } else { v });
+    super::grade_radial(&mut k, m, grading_decades);
+    Ok(k)
 }
 
 #[cfg(test)]
@@ -133,11 +141,19 @@ mod tests {
 
     #[test]
     fn fv_stencil_pair_survives_its_bitwise_cross_check() {
-        // proves the whole assembly pipeline (shift + zero-decade grading
-        // + double transpose) leaves the constant coefficients bit-exact
+        // the matrix is assembled from the descriptor and skips the
+        // zero-decade grading, so the cross-check sees the descriptor's
+        // constant coefficients bit-exact
         let (a, d) = fv_stencil(8, 0.37).unwrap();
         assert_eq!(d.n(), a.n_rows());
         assert_eq!(d.center(), 8.0 / 3.0 + 0.37);
+    }
+
+    #[test]
+    fn a_shift_that_cancels_the_centre_is_a_typed_error() {
+        let sigma = -8.0 / 3.0;
+        assert!(matches!(fv_stencil(4, sigma), Err(SparseError::Stencil(_))));
+        assert!(matches!(fv(4, sigma, 0.0), Err(SparseError::Stencil(_))));
     }
 
     #[test]

@@ -137,16 +137,20 @@ impl TestMatrix {
     }
 }
 
-/// Applies the smooth radial mesh grading `A -> S A S` with
+/// Applies the smooth radial mesh grading `A -> S A S` in place, with
 /// `s(x, y) = 10^(decades * (r - 1/2))`, `r = (x² + y²)/2` over the unit
-/// square of an `m x m` grid. The grading inflates `cond(A)` like a
-/// graded mesh while leaving the Jacobi iteration matrix *similar*
-/// (`D'⁻¹A' = S⁻¹(D⁻¹A)S`), so `rho(B)` and `cond(D⁻¹A)` are untouched —
-/// the mechanism both the `fv` family and the structural substitute use.
-pub(crate) fn grade_radial(a: CsrMatrix, m: usize, decades: f64) -> Result<CsrMatrix> {
-    let n = m * m;
-    debug_assert_eq!(a.n_rows(), n);
-    let mut s = vec![0.0f64; n];
+/// square of an `m x m` grid: each entry becomes `(a_ij · s_i) · s_j`, in
+/// that order. With 0 decades every `s_i` is exactly 1, and `a` is left as
+/// it is. The grading inflates `cond(A)` like a graded mesh while leaving
+/// the Jacobi iteration matrix *similar* (`D'⁻¹A' = S⁻¹(D⁻¹A)S`), so
+/// `rho(B)` and `cond(D⁻¹A)` are untouched — the mechanism both the `fv`
+/// family and the structural substitute use.
+pub(crate) fn grade_radial(a: &mut CsrMatrix, m: usize, decades: f64) {
+    debug_assert_eq!(a.n_rows(), m * m);
+    if decades == 0.0 {
+        return;
+    }
+    let mut s = vec![0.0f64; m * m];
     for i in 0..m {
         for j in 0..m {
             let x = (i as f64 + 1.0) / (m as f64 + 1.0);
@@ -155,11 +159,7 @@ pub(crate) fn grade_radial(a: CsrMatrix, m: usize, decades: f64) -> Result<CsrMa
             s[i * m + j] = 10f64.powf(decades * (r - 0.5));
         }
     }
-    let mut graded = a;
-    graded.scale_rows(&s)?;
-    let mut at = graded.transpose();
-    at.scale_rows(&s)?;
-    Ok(at.transpose())
+    a.map_values(|i, j, v| v * s[i] * s[j]);
 }
 
 /// The right-hand side used throughout the experiments: `b = A * ones`,

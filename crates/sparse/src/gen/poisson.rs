@@ -1,6 +1,8 @@
 //! Poisson-equation stencil matrices: the standard model problems of
 //! iterative-solver analysis, used as building blocks by the `fv` and
-//! `structural` generators and directly in tests/benches.
+//! `structural` generators and directly in tests/benches. The
+//! constant-coefficient ones are assembled from their
+//! [`StencilDescriptor`] in one pass.
 
 use crate::stencil::StencilDescriptor;
 use crate::{CooMatrix, CsrMatrix};
@@ -17,75 +19,35 @@ pub fn laplacian_1d(n: usize) -> CsrMatrix {
     coo.to_csr()
 }
 
-/// 2D 5-point Laplacian on an `m x m` grid (n = m^2), Dirichlet boundaries.
+/// 2D 5-point Laplacian on an `m x m` grid (n = m^2), Dirichlet boundaries:
+/// [`StencilDescriptor::poisson_2d_5pt`], assembled.
 pub fn laplacian_2d_5pt(m: usize) -> CsrMatrix {
-    let n = m * m;
-    let idx = |i: usize, j: usize| i * m + j;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
-    for i in 0..m {
-        for j in 0..m {
-            let c = idx(i, j);
-            coo.push(c, c, 4.0).expect("in bounds");
-            if i + 1 < m {
-                coo.push_sym(c, idx(i + 1, j), -1.0).expect("in bounds");
-            }
-            if j + 1 < m {
-                coo.push_sym(c, idx(i, j + 1), -1.0).expect("in bounds");
-            }
-        }
-    }
-    coo.to_csr()
+    StencilDescriptor::poisson_2d_5pt(m).assemble()
 }
 
-/// [`laplacian_2d_5pt`] paired with its [`StencilDescriptor`], verified
-/// against the assembled matrix — the input the matrix-free sweep tier
-/// wants. The verification is a debug assertion here because generator
-/// and descriptor are maintained together; hand-loaded matrices go
+/// [`laplacian_2d_5pt`] paired with its [`StencilDescriptor`] — the input
+/// the matrix-free sweep tier wants. The matrix is assembled from the
+/// descriptor, so it verifies by construction; hand-loaded matrices go
 /// through [`StencilDescriptor::verify`] themselves.
 pub fn laplacian_2d_5pt_stencil(m: usize) -> (CsrMatrix, StencilDescriptor) {
-    let a = laplacian_2d_5pt(m);
     let d = StencilDescriptor::poisson_2d_5pt(m);
-    debug_assert!(d.verify(&a).is_ok());
-    (a, d)
+    (d.assemble(), d)
 }
 
-/// [`laplacian_3d_7pt`] paired with its verified [`StencilDescriptor`]
-/// (see [`laplacian_2d_5pt_stencil`]).
+/// [`laplacian_3d_7pt`] paired with its [`StencilDescriptor`] (see
+/// [`laplacian_2d_5pt_stencil`]).
 pub fn laplacian_3d_7pt_stencil(m: usize) -> (CsrMatrix, StencilDescriptor) {
-    let a = laplacian_3d_7pt(m);
     let d = StencilDescriptor::poisson_3d_7pt(m);
-    debug_assert!(d.verify(&a).is_ok());
-    (a, d)
+    (d.assemble(), d)
 }
 
 /// 2D 9-point (bilinear Q1 FEM) Laplacian on an `m x m` grid:
-/// center `8/3`, all eight neighbours `-1/3`. This is the stencil the `fv`
-/// generator perturbs; its nnz count (~9 per row) matches the UFMC `fv*`
-/// family.
+/// center `8/3`, all eight neighbours `-1/3`, assembled from
+/// [`StencilDescriptor::fv_9pt`] with no shift. This is the stencil the
+/// `fv` generator perturbs; its nnz count (~9 per row) matches the UFMC
+/// `fv*` family.
 pub fn laplacian_2d_9pt(m: usize) -> CsrMatrix {
-    let n = m * m;
-    let idx = |i: usize, j: usize| i * m + j;
-    let mut coo = CooMatrix::with_capacity(n, n, 9 * n);
-    for i in 0..m {
-        for j in 0..m {
-            let c = idx(i, j);
-            coo.push(c, c, 8.0 / 3.0).expect("in bounds");
-            for di in -1i64..=1 {
-                for dj in -1i64..=1 {
-                    if di == 0 && dj == 0 {
-                        continue;
-                    }
-                    let ni = i as i64 + di;
-                    let nj = j as i64 + dj;
-                    if ni >= 0 && nj >= 0 && (ni as usize) < m && (nj as usize) < m {
-                        coo.push(c, idx(ni as usize, nj as usize), -1.0 / 3.0)
-                            .expect("in bounds");
-                    }
-                }
-            }
-        }
-    }
-    coo.to_csr()
+    StencilDescriptor::fv_9pt(m, 0.0).expect("the centre 8/3 is nonzero").assemble()
 }
 
 /// 2D convection-diffusion operator on an `m x m` grid:
@@ -124,29 +86,10 @@ pub fn convection_diffusion_2d(m: usize, eps: f64, wx: f64, wy: f64) -> CsrMatri
     coo.to_csr()
 }
 
-/// 3D 7-point Laplacian on an `m x m x m` grid (n = m^3).
+/// 3D 7-point Laplacian on an `m x m x m` grid (n = m^3):
+/// [`StencilDescriptor::poisson_3d_7pt`], assembled.
 pub fn laplacian_3d_7pt(m: usize) -> CsrMatrix {
-    let n = m * m * m;
-    let idx = |i: usize, j: usize, k: usize| (i * m + j) * m + k;
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
-    for i in 0..m {
-        for j in 0..m {
-            for k in 0..m {
-                let c = idx(i, j, k);
-                coo.push(c, c, 6.0).expect("in bounds");
-                if i + 1 < m {
-                    coo.push_sym(c, idx(i + 1, j, k), -1.0).expect("in bounds");
-                }
-                if j + 1 < m {
-                    coo.push_sym(c, idx(i, j + 1, k), -1.0).expect("in bounds");
-                }
-                if k + 1 < m {
-                    coo.push_sym(c, idx(i, j, k + 1), -1.0).expect("in bounds");
-                }
-            }
-        }
-    }
-    coo.to_csr()
+    StencilDescriptor::poisson_3d_7pt(m).assemble()
 }
 
 #[cfg(test)]

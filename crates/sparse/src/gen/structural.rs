@@ -59,11 +59,12 @@ pub fn structural_biharmonic_sq(m: usize, target_rho: f64) -> Result<CsrMatrix> 
         }
     }
     let w = 0.5 * (lo + hi);
-    let a = l.add_scaled(1.0, &eye, w)?.pow(4)?;
+    let mut a = l.add_scaled(1.0, &eye, w)?.pow(4)?;
     // Symmetric diagonal grading (graded shell thickness): inflates
     // cond(A) toward the UFMC original's ~1e6 while leaving rho(B)
     // untouched (similarity; see grade_radial).
-    super::grade_radial(a, m, 2.0)
+    super::grade_radial(&mut a, m, 2.0);
+    Ok(a)
 }
 
 /// `rho(I - D^{-1}A)` for SPD `A`, from the extreme eigenvalues of

@@ -10,7 +10,9 @@
 //! off-centre taps — and [`StencilDescriptor::verify`] cross-checks it
 //! entry-by-entry against an assembled [`CsrMatrix`], so generator-built
 //! *and* hand-loaded matrices can opt into the matrix-free tier without
-//! trusting anyone's word for the structure.
+//! trusting anyone's word for the structure. The descriptor also defines
+//! that matrix: [`StencilDescriptor::assemble`] builds it row by row, and
+//! the stencil generators of [`crate::gen`] make their matrices with it.
 //!
 //! [`StencilDescriptor::compile_block`] lowers the descriptor to a
 //! [`StencilBlock`]: maximal runs of consecutive block rows that share
@@ -97,8 +99,14 @@ pub struct StencilDescriptor {
 impl StencilDescriptor {
     /// Builds a descriptor from a grid shape, centre coefficient, and
     /// off-centre taps. Taps are sorted by their signed row offset;
-    /// duplicate or zero offsets, a zero centre and more than
+    /// duplicate or zero grid offsets, a zero centre and more than
     /// [`MAX_TAPS`] taps are rejected.
+    ///
+    /// On a grid narrower than the stencil, two taps can share a row
+    /// offset (on a 2-wide grid, one step up and right is one step left),
+    /// and a tap can have row offset 0. Such taps never stay on the grid
+    /// at the same row, since their targets would be one node, so every
+    /// row's valid taps still have distinct columns.
     pub fn new(shape: GridShape, center: f64, mut taps: Vec<StencilTap>) -> Result<Self> {
         if center == 0.0 {
             return Err(SparseError::Stencil("stencil centre must be nonzero".into()));
@@ -112,13 +120,12 @@ impl StencilDescriptor {
             }
         }
         let d = StencilDescriptor { shape, center, taps: Vec::new() };
-        taps.sort_by_key(|t| d.row_offset(t));
-        for w in taps.windows(2) {
-            if d.row_offset(&w[0]) == d.row_offset(&w[1]) {
-                return Err(SparseError::Stencil("duplicate stencil tap offset".into()));
-            }
+        taps.sort_by_key(|t| (d.row_offset(t), t.di, t.dj, t.dk));
+        let grid = |t: &StencilTap| (t.di, t.dj, t.dk);
+        if taps.windows(2).any(|w| grid(&w[0]) == grid(&w[1])) {
+            return Err(SparseError::Stencil("duplicate stencil tap offset".into()));
         }
-        if taps.iter().any(|t| d.row_offset(t) == 0) {
+        if taps.iter().any(|t| grid(t) == (0, 0, 0)) {
             return Err(SparseError::Stencil("tap at offset 0 duplicates the centre".into()));
         }
         Ok(StencilDescriptor { taps, ..d })
@@ -151,8 +158,9 @@ impl StencilDescriptor {
     /// The ungraded FV stencil (`gen::fv(m, sigma, 0.0)`): the 9-point
     /// Q1-FEM Laplacian with a diagonal shift — centre `8/3 + sigma`,
     /// all eight neighbours `-1/3`. (Graded FV matrices are *not*
-    /// constant-coefficient; their verification fails, as it must.)
-    pub fn fv_9pt(m: usize, sigma: f64) -> Self {
+    /// constant-coefficient; their verification fails, as it must.) A
+    /// shift that cancels the centre, `sigma = -8/3`, is an error.
+    pub fn fv_9pt(m: usize, sigma: f64) -> Result<Self> {
         let mut taps = Vec::with_capacity(8);
         for di in -1i32..=1 {
             for dj in -1i32..=1 {
@@ -162,7 +170,6 @@ impl StencilDescriptor {
             }
         }
         StencilDescriptor::new(GridShape::Square2d { m }, 8.0 / 3.0 + sigma, taps)
-            .expect("static stencil is well-formed")
     }
 
     /// The grid shape.
@@ -193,6 +200,34 @@ impl StencilDescriptor {
                 (t.di as i64 * m as i64 + t.dj as i64) * m as i64 + t.dk as i64
             }
         }
+    }
+
+    /// Assembles the matrix the descriptor defines: each row holds its
+    /// valid taps and the centre, in column order, with the coefficients'
+    /// bits. It is the one matrix [`verify`](Self::verify) accepts. One
+    /// walk over the rows counts their entries, and a second writes them
+    /// into arrays of exactly that length, so nothing else is allocated:
+    /// no triplets and no intermediate matrix.
+    pub fn assemble(&self) -> CsrMatrix {
+        let n = self.n();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut rows = RowCursor::new(self, 0);
+        for r in 0..n {
+            row_ptr.push(row_ptr[r] + rows.valid().count_ones() as usize + 1);
+            rows.advance();
+        }
+        let nnz = row_ptr[n];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        let mut rows = RowCursor::new(self, 0);
+        for r in 0..n {
+            let entries = rows.entries();
+            col_idx.extend(entries.iter().map(|&(off, _)| r.wrapping_add_signed(off)));
+            values.extend(entries.iter().map(|&(_, coef)| f64::from_bits(coef)));
+            rows.advance();
+        }
+        CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, values)
     }
 
     /// Cross-checks the descriptor against an assembled matrix, entry by
@@ -291,7 +326,7 @@ pub(crate) struct RowCursor<'d> {
     /// Per axis: the largest tap step towards the low and the high edge.
     reach: [(usize, usize); 3],
     r: usize,
-    /// The entries a row with valid-tap mask `expected_for` must hold:
+    /// The entries a row with valid-tap mask `expected_for` holds:
     /// `(row offset, coefficient bits)` of its valid taps and the
     /// centre, in column order. Rebuilt only when the mask changes, which
     /// happens at grid edges.
@@ -398,11 +433,11 @@ impl<'d> RowCursor<'d> {
         self.on_axis[axis] = self.axis_mask(axis);
     }
 
-    /// Checks the current row's stored entries against the stencil: the
-    /// valid taps and the centre, in column order, bit-equal. The one row
-    /// check behind both [`StencilDescriptor::verify`] and the fused
-    /// verification of [`crate::BlockPlan`]'s compile.
-    pub(crate) fn verify_row(&mut self, cols: &[usize], vals: &[f64]) -> Result<()> {
+    /// The current row's entries as the stencil defines them: `(row
+    /// offset, coefficient bits)` of the valid taps and the centre, in
+    /// column order. What [`StencilDescriptor::assemble`] writes and
+    /// [`verify_row`](Self::verify_row) checks.
+    fn entries(&mut self) -> &[(isize, u64)] {
         let valid = self.valid();
         if self.expected_for != Some(valid) {
             let tap = |t: usize| self.taps[t];
@@ -412,26 +447,40 @@ impl<'d> RowCursor<'d> {
             self.expected = before.chain(centre).chain(after).collect();
             self.expected_for = Some(valid);
         }
-        self.row_fault(cols, vals)
-            .map_err(|why| SparseError::Stencil(format!("row {}: {why}", self.r)))
+        &self.expected
     }
 
-    /// The first disagreement between the row and its expected entries,
-    /// walked in column order.
-    fn row_fault(&self, cols: &[usize], vals: &[f64]) -> std::result::Result<(), RowFault> {
-        for (k, &(off, coef)) in self.expected.iter().enumerate() {
-            let col = self.r.wrapping_add_signed(off);
-            if k >= cols.len() || cols[k] != col {
-                return Err(RowFault::Missing { col });
-            }
-            if vals[k].to_bits() != coef {
-                return Err(RowFault::Value { col, found: vals[k], coef: f64::from_bits(coef) });
-            }
+    /// Checks the current row's stored entries against the stencil: the
+    /// valid taps and the centre, in column order, bit-equal. The one row
+    /// check behind both [`StencilDescriptor::verify`] and the fused
+    /// verification of [`crate::BlockPlan`]'s compile.
+    pub(crate) fn verify_row(&mut self, cols: &[usize], vals: &[f64]) -> Result<()> {
+        let r = self.r;
+        row_fault(r, self.entries(), cols, vals)
+            .map_err(|why| SparseError::Stencil(format!("row {r}: {why}")))
+    }
+}
+
+/// The first disagreement between row `r`'s stored entries and its
+/// expected ones, walked in column order.
+fn row_fault(
+    r: usize,
+    expected: &[(isize, u64)],
+    cols: &[usize],
+    vals: &[f64],
+) -> std::result::Result<(), RowFault> {
+    for (k, &(off, coef)) in expected.iter().enumerate() {
+        let col = r.wrapping_add_signed(off);
+        if k >= cols.len() || cols[k] != col {
+            return Err(RowFault::Missing { col });
         }
-        match cols.len() - self.expected.len() {
-            0 => Ok(()),
-            count => Err(RowFault::Extra { count }),
+        if vals[k].to_bits() != coef {
+            return Err(RowFault::Value { col, found: vals[k], coef: f64::from_bits(coef) });
         }
+    }
+    match cols.len() - expected.len() {
+        0 => Ok(()),
+        count => Err(RowFault::Extra { count }),
     }
 }
 
