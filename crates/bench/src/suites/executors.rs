@@ -1,5 +1,5 @@
-//! Executor throughput: the persistent-worker fabric, plus the
-//! discrete-event simulator for context.
+//! Executor throughput: the persistent-worker fabric, and the
+//! discrete-event simulator against the block updates it replays.
 //!
 //! The headline case is **solve-to-tolerance** with the default
 //! `check_every = 10` on a deliberately small system (n = 256, 16
@@ -11,15 +11,23 @@
 //! monitor lands its check — the paper's async tradeoff: more iterations,
 //! less wall time.
 //!
-//! The `chunked_respawn` rows of BENCH_executors.json are the frozen
-//! record of the retired chunked-respawn executor (a thread-scope respawn,
-//! two whole-vector copies and a synchronous host residual every
-//! `check_every` rounds); nothing runs that path any more. Set
-//! `CRITERION_JSON=BENCH_executors.json` to record the numbers.
+//! The `executors_serve_repeat` group prices the simulator's own
+//! overhead on the `abr-serve` daemon's default `sim` request: one seeded
+//! sim solve to tolerance, against the kernel-only loop that runs the
+//! same block updates for the same rounds in the schedule's block order
+//! with nothing simulated around them. The two arms take their samples in
+//! turn, so a drift in the host's speed reaches both.
+//!
+//! Set `CRITERION_JSON=BENCH_executors.json` to record the numbers.
 
 use crate::{bench_partition, bench_system};
-use abr_core::{AsyncBlockSolver, ExecutorKind, SolveOptions};
-use abr_gpu::{SimOptions, ThreadedOptions};
+use abr_core::async_block::AsyncJacobiKernel;
+use abr_core::{AsyncBlockSolver, ExecutorKind, ScheduleKind, SolveOptions};
+use abr_gpu::kernel::AllowAll;
+use abr_gpu::{
+    BlockKernel, BlockSchedule, BlockScratch, RecurringPattern, RunSession, SimOptions,
+    ThreadedOptions, XView,
+};
 use criterion::{black_box, BenchmarkId, Criterion};
 
 /// Solve-to-tolerance on the persistent fabric at two worker counts.
@@ -54,9 +62,7 @@ pub fn bench_solve_to_tolerance(c: &mut Criterion) {
 }
 
 /// Fixed global-iteration budget, simulator and threads (the original
-/// throughput comparison, kept for continuity). Before the chunked
-/// executor was retired, the `threads` rows here ran it too, since a
-/// fixed-budget solve records history.
+/// throughput comparison, kept for continuity).
 pub fn bench_fixed_budget(c: &mut Criterion) {
     let (a, b, x0) = bench_system(60);
     let p = bench_partition(a.n_rows(), 120);
@@ -89,8 +95,66 @@ pub fn bench_fixed_budget(c: &mut Criterion) {
     group.finish();
 }
 
+/// The daemon's `sim` request on Lap2d g = 40 with 8-row blocks: async-(5)
+/// to tol 1e-6 on 14 workers at jitter 0.3, a recurring schedule, request
+/// seed 1 (the daemon salts the simulator's seed with a constant).
+pub fn bench_serve_repeat(c: &mut Criterion) {
+    let (a, b, x0) = bench_system(40);
+    let p = bench_partition(a.n_rows(), 8);
+    let kernel = AsyncJacobiKernel::new(&a, &b, &p, 5, 1.0).expect("kernel");
+    let seed = 1u64;
+    let solver = AsyncBlockSolver {
+        local_iters: 5,
+        schedule: ScheduleKind::Recurring { seed },
+        executor: ExecutorKind::Sim(SimOptions {
+            seed: seed ^ 0x9e37_79b9_7f4a_7c15,
+            ..SimOptions::default()
+        }),
+        ..AsyncBlockSolver::default()
+    };
+    let opts = SolveOptions::to_tolerance(1e-6, 20_000);
+    let sim_solve = || {
+        solver
+            .solve_session(&a, &b, &x0, &kernel, &opts, &AllowAll, None, RunSession::default())
+            .expect("solve")
+    };
+    let rounds = sim_solve().result.iterations;
+    let nb = kernel.n_blocks();
+    let mut x = x0.clone();
+    let mut out = Vec::new();
+    let mut scratch = BlockScratch::new();
+    let mut order = Vec::with_capacity(nb);
+    let mut kernel_only = || {
+        x.copy_from_slice(&x0);
+        let mut schedule = RecurringPattern::new(seed);
+        for round in 0..rounds {
+            schedule.order(round, nb, &mut order);
+            for &blk in &order {
+                let (s, e) = kernel.block_range(blk);
+                out.resize(e - s, 0.0);
+                kernel.update_block_with(blk, &XView::Plain(&x), &mut out, &mut scratch);
+                x[s..e].copy_from_slice(&out);
+            }
+        }
+        x[0]
+    };
+    let mut group = c.benchmark_group("executors_serve_repeat");
+    group.sample_size(25);
+    group.meta(&[("rounds", rounds as f64), ("blocks", nb as f64)]);
+    group.bench_interleaved(&mut [
+        ("sim_solve", &mut || {
+            black_box(sim_solve());
+        }),
+        ("kernel_only", &mut || {
+            black_box(kernel_only());
+        }),
+    ]);
+    group.finish();
+}
+
 /// The whole suite.
 pub fn all(c: &mut Criterion) {
     bench_solve_to_tolerance(c);
     bench_fixed_budget(c);
+    bench_serve_repeat(c);
 }

@@ -24,13 +24,20 @@ pub struct StalenessHistogram {
 }
 
 impl StalenessHistogram {
-    /// Records one read with the given shift.
+    /// Records one read with the given shift: one index and one add when
+    /// the shift is inside the recorded range, which is nearly always.
     #[inline]
     pub fn record(&mut self, shift: i64) {
-        self.add(shift, 1);
+        // An empty range, or a shift below `lo` (a huge index after the
+        // wrap), misses and widens the range.
+        match self.counts.get_mut(shift.wrapping_sub(self.lo) as usize) {
+            Some(c) => *c += 1,
+            None => self.add(shift, 1),
+        }
     }
 
     /// Adds `c` reads of `shift`, widening the range to cover it.
+    #[cold]
     fn add(&mut self, shift: i64, c: u64) {
         if self.counts.is_empty() {
             self.lo = shift;

@@ -7,6 +7,9 @@
 //! per benchmark, a warm-up phase followed by `sample_size` timed samples,
 //! reporting the per-iteration mean of the fastest third (a robust
 //! location estimate against OS scheduling noise).
+//! [`BenchmarkGroup::bench_interleaved`] (an extension) times several
+//! benchmarks with their samples taken in turn, so a drift in the host's
+//! speed reaches each of them alike.
 //!
 //! Results are printed as aligned text and, when `CRITERION_JSON` names a
 //! file, appended there as JSON lines for machine consumption. A JSON
@@ -88,34 +91,61 @@ pub struct Bencher {
 }
 
 impl Bencher {
+    /// A bencher taking `samples` samples of `sample_budget` each.
+    fn new(samples: usize) -> Self {
+        Bencher {
+            sample_budget: sample_budget(),
+            samples,
+            result_ns: f64::NAN,
+            quartiles_ns: [f64::NAN; 3],
+            total_iters: 0,
+        }
+    }
+
     /// Measures `f` and records the per-iteration time.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm-up: one sample's budget, also calibrates batch size.
+        let mut call = || {
+            black_box(f());
+        };
+        let batch = self.calibrate(&mut call);
+        let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples);
+        for _ in 0..self.samples {
+            per_iter.push(time_batch(batch, &mut call));
+        }
+        // warm-up iterations count as work done
+        self.summarise(per_iter, batch * (self.samples as u64 + 1));
+    }
+
+    /// Warm-up: runs `f` for one sample's budget and returns how many
+    /// calls fit in it, the batch size of every sample.
+    fn calibrate<F: FnMut() + ?Sized>(&self, f: &mut F) -> u64 {
         let warm_start = Instant::now();
         let mut batch: u64 = 0;
         while warm_start.elapsed() < self.sample_budget {
-            black_box(f());
+            f();
             batch += 1;
         }
-        let batch = batch.max(1);
+        batch.max(1)
+    }
 
-        let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples);
-        let mut total_iters = batch; // warm-up iterations count as work done
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let dt = t0.elapsed();
-            total_iters += batch;
-            per_iter.push(dt.as_nanos() as f64 / batch as f64);
-        }
+    /// Records the samples' per-iteration times: the fastest-third mean
+    /// and the quartiles.
+    fn summarise(&mut self, mut per_iter: Vec<f64>, total_iters: u64) {
         per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let third = (per_iter.len() / 3).max(1);
         self.result_ns = per_iter[..third].iter().sum::<f64>() / third as f64;
         self.quartiles_ns = [0.25, 0.5, 0.75].map(|p| quantile(&per_iter, p));
         self.total_iters = total_iters;
     }
+}
+
+/// Nanoseconds per call of one timed batch of `batch` calls of `f`.
+fn time_batch<F: FnMut() + ?Sized>(batch: u64, f: &mut F) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / batch as f64
 }
 
 /// The `p`-quantile of ascending `sorted` (non-empty), interpolated
@@ -149,6 +179,18 @@ fn format_time(ns: f64) -> String {
     }
 }
 
+/// The sample count of a benchmark asking for `samples`.
+fn sample_count(samples: usize) -> usize {
+    // CRITERION_SAMPLES overrides every bench's own sample count and may
+    // go below the usual floor of 3 — the bench smoke test runs each
+    // harness for one sample under `cargo test`.
+    std::env::var("CRITERION_SAMPLES")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .map(|v| v.max(1))
+        .unwrap_or_else(|| samples.max(3))
+}
+
 fn run_one(
     full_name: &str,
     samples: usize,
@@ -156,22 +198,18 @@ fn run_one(
     meta: &[(String, f64)],
     f: &mut dyn FnMut(&mut Bencher),
 ) {
-    // CRITERION_SAMPLES overrides every bench's own sample count and may
-    // go below the usual floor of 3 — the bench smoke test runs each
-    // harness for one sample under `cargo test`.
-    let samples = std::env::var("CRITERION_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|v| v.max(1))
-        .unwrap_or_else(|| samples.max(3));
-    let mut bencher = Bencher {
-        sample_budget: sample_budget(),
-        samples,
-        result_ns: f64::NAN,
-        quartiles_ns: [f64::NAN; 3],
-        total_iters: 0,
-    };
+    let mut bencher = Bencher::new(sample_count(samples));
     f(&mut bencher);
+    report(full_name, throughput, meta, &bencher);
+}
+
+/// Prints a measured benchmark and appends it to `CRITERION_JSON`.
+fn report(
+    full_name: &str,
+    throughput: Option<Throughput>,
+    meta: &[(String, f64)],
+    bencher: &Bencher,
+) {
     let ns = bencher.result_ns;
     let mut line = format!("{full_name:<48} time: {:>12}/iter", format_time(ns));
     if let Some(Throughput::Elements(e)) = throughput {
@@ -287,6 +325,31 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Runs several benchmarks with their samples interleaved: each is
+    /// calibrated on its own, then every round of sampling times one
+    /// batch of each in turn, so a drift in the host's speed reaches them
+    /// alike. Each reports as its own benchmark of the group. Extension
+    /// over the real criterion API: an A/B comparison on a shared host
+    /// needs its arms measured side by side.
+    pub fn bench_interleaved(&mut self, arms: &mut [(&str, &mut dyn FnMut())]) -> &mut Self {
+        let samples = sample_count(self.samples);
+        let mut benchers: Vec<Bencher> = arms.iter().map(|_| Bencher::new(samples)).collect();
+        let batches: Vec<u64> =
+            arms.iter_mut().zip(&benchers).map(|((_, f), b)| b.calibrate(*f)).collect();
+        let mut per_iter = vec![Vec::with_capacity(samples); arms.len()];
+        for _ in 0..samples {
+            for (k, (_, f)) in arms.iter_mut().enumerate() {
+                per_iter[k].push(time_batch(batches[k], *f));
+            }
+        }
+        for (k, times) in per_iter.into_iter().enumerate() {
+            benchers[k].summarise(times, batches[k] * (samples as u64 + 1));
+            let name = format!("{}/{}", self.name, arms[k].0);
+            report(&name, self.throughput, &self.meta, &benchers[k]);
+        }
+        self
+    }
+
     /// Runs one benchmark that borrows an input value.
     pub fn bench_with_input<I: ?Sized, F: FnMut(&mut Bencher, &I)>(
         &mut self,
@@ -332,18 +395,31 @@ mod tests {
 
     #[test]
     fn bencher_measures_something() {
-        let mut b = Bencher {
-            sample_budget: Duration::from_millis(1),
-            samples: 3,
-            result_ns: f64::NAN,
-            quartiles_ns: [f64::NAN; 3],
-            total_iters: 0,
-        };
+        let mut b = Bencher { sample_budget: Duration::from_millis(1), ..Bencher::new(3) };
         b.iter(|| black_box((0..100u64).sum::<u64>()));
         assert!(b.result_ns.is_finite() && b.result_ns > 0.0);
         let [p25, p50, p75] = b.quartiles_ns;
         assert!(0.0 < p25 && p25 <= p50 && p50 <= p75, "{:?}", b.quartiles_ns);
         assert!(b.total_iters > 0);
+    }
+
+    #[test]
+    fn interleaved_arms_take_their_samples_in_turn() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut a = || order.borrow_mut().push('a');
+        let mut b = || order.borrow_mut().push('b');
+        let mut c = Criterion::default();
+        let mut group = c.benchmark_group("interleaved");
+        group.sample_size(4);
+        group.bench_interleaved(&mut [("a", &mut a), ("b", &mut b)]);
+        let order = order.into_inner();
+        // After each arm's warm-up, the timed batches alternate.
+        let a_calls = order.iter().filter(|&&c| c == 'a').count();
+        let b_calls = order.len() - a_calls;
+        assert!(a_calls > 4 && b_calls > 4, "{a_calls} {b_calls}");
+        let timed: Vec<char> = order.iter().copied().skip_while(|&c| c == 'a').collect();
+        assert_eq!(timed.first(), Some(&'b'), "b warms up after a");
+        assert!(timed.windows(2).filter(|w| w[0] != w[1]).count() >= 2 * 4 - 1);
     }
 
     #[test]

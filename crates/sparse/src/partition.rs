@@ -146,11 +146,17 @@ impl RowPartition {
         self.blocks[i]
     }
 
-    /// Index of the block containing `row` (binary search).
+    /// Index of the block containing `row`. Most partitions are uniform,
+    /// so the first guess is `row` over the first block's length; when
+    /// that block does not hold `row`, a binary search finds the owner.
+    #[inline]
     pub fn block_of(&self, row: usize) -> usize {
         debug_assert!(row < self.n);
-        self.blocks
-            .partition_point(|b| b.end <= row)
+        let guess = row / self.blocks.first().map_or(1, RowBlock::len);
+        match self.blocks.get(guess) {
+            Some(b) if b.contains(row) => guess,
+            _ => self.blocks.partition_point(|b| b.end <= row),
+        }
     }
 
     /// Splits each block of `self` by a target sub-block size, producing the
@@ -245,6 +251,26 @@ mod tests {
         assert_eq!(p.block_of(99), 3);
         for row in 0..100 {
             assert!(p.block(p.block_of(row)).contains(row));
+        }
+    }
+
+    #[test]
+    fn block_of_agrees_with_the_binary_search() {
+        let uniform = RowPartition::uniform(1000, 37).unwrap();
+        let parts = [
+            RowPartition::uniform(1000, 1).unwrap(),
+            RowPartition::uniform(1000, 448).unwrap(),
+            RowPartition::equal_count(1000, 7).unwrap(),
+            RowPartition::equal_count(1000, 1000).unwrap(),
+            RowPartition::equal_count(1000, 3).unwrap().refine(64).unwrap(),
+            uniform.refine(8).unwrap(),
+            uniform.clone(),
+        ];
+        for p in &parts {
+            for row in 0..p.n() {
+                let owner = p.blocks().partition_point(|b| b.end <= row);
+                assert_eq!(p.block_of(row), owner, "row {row} of a {}-block partition", p.len());
+            }
         }
     }
 
