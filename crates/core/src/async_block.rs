@@ -19,7 +19,7 @@
 //! for genuine hardware chaos.
 
 use crate::convergence::{
-    check_system, exact_residual, stop_rule, Progress, SolveOptions, SolveResult,
+    check_system, stop_rule, ExactCheck, Progress, SolveOptions, SolveResult,
 };
 use abr_gpu::kernel::AllowAll;
 use abr_gpu::schedule::BlockSchedule;
@@ -30,7 +30,7 @@ use abr_gpu::{
     SimOptions, ThreadedOptions, UpdateFilter, UpdateTrace, WorkerPool, XView,
 };
 use abr_sparse::block_plan::BlockEll;
-use abr_sparse::simd::{f64x4, LANES};
+use abr_sparse::simd::{f64x4, Isa, LANES};
 use abr_sparse::stencil::{StencilBlock, StencilDescriptor};
 use abr_sparse::{BlockPlan, CsrMatrix, Result, RowPartition, SweepTier};
 
@@ -359,8 +359,7 @@ impl AsyncBlockSolver {
                     PersistentOptions { n_workers: threads.n_workers, ..Default::default() }
                 }));
                 let period = if opts.tol > 0.0 { opts.check_every.max(1) } else { 0 };
-                let mut monitor =
-                    ResidualMonitor::new(a, rhs, opts.tol, period).with_plan(kernel.plan());
+                let mut monitor = ResidualMonitor::from_check(run.exact_check(), opts.tol, period);
                 let mut ws = PersistentWorkspace::new();
                 let (trace, report) = exec.run_session(
                     kernel,
@@ -514,16 +513,14 @@ impl BlockSchedule for OffsetSchedule<'_> {
 /// non-finite, the divergent regime the sim chunk loop also bails out of.
 /// Every solver loop of this crate stops by the same rule.
 pub struct ResidualMonitor<'a> {
-    a: &'a CsrMatrix,
-    /// A stencil plan of `a`, when the checks go through its runs.
-    stencil: Option<&'a BlockPlan>,
-    rhs: &'a [f64],
+    /// The matrix or stencil plan the checks multiply, and `‖b‖₂`, summed
+    /// once at construction: every exact check divides by it, and the
+    /// fused fast path normalises the workers' `‖b − A x‖²` estimate by
+    /// it without touching the matrix.
+    exact_check: ExactCheck<'a>,
     tol: f64,
     period: usize,
     scratch: Vec<f64>,
-    /// `‖b‖₂`, cached at construction: the fused fast path normalises the
-    /// workers' `‖b − A x‖²` estimate without touching the matrix.
-    rhs_norm: f64,
     /// Fused polls since the last exact check (forced-escalation clock).
     fused_streak: usize,
     /// Last exact check landed within [`URGENT_BAND`] of the tolerance:
@@ -576,14 +573,17 @@ impl<'a> ResidualMonitor<'a> {
     /// A monitor stopping at relative residual `tol`, checking every
     /// `period` global iterations (`0` never checks).
     pub fn new(a: &'a CsrMatrix, rhs: &'a [f64], tol: f64, period: usize) -> Self {
+        Self::from_check(ExactCheck::new(a, rhs), tol, period)
+    }
+
+    /// A monitor whose exact checks are `exact_check`'s: a solve hands its
+    /// own, so `‖b‖₂` is summed once per solve.
+    pub(crate) fn from_check(exact_check: ExactCheck<'a>, tol: f64, period: usize) -> Self {
         ResidualMonitor {
-            a,
-            stencil: None,
-            rhs,
+            exact_check,
             tol,
             period,
             scratch: Vec::new(),
-            rhs_norm: rhs.iter().map(|&b| b * b).sum::<f64>().sqrt(),
             fused_streak: 0,
             urgent: false,
             checks: Vec::new(),
@@ -596,7 +596,7 @@ impl<'a> ResidualMonitor<'a> {
     /// stored-matrix check (so the exact residual stays the only stopping
     /// authority). A packed plan changes nothing.
     pub fn with_plan(mut self, plan: &'a BlockPlan) -> Self {
-        self.stencil = plan.descriptor().is_some().then_some(plan);
+        self.exact_check = self.exact_check.with_plan(plan);
         self
     }
 
@@ -614,20 +614,21 @@ impl ConvergenceMonitor for ResidualMonitor<'_> {
 
     fn check(&mut self, global_iteration: usize, x: &[f64]) -> bool {
         self.fused_streak = 0;
-        let rr = exact_residual(&mut self.scratch, self.a, self.stencil, self.rhs, x);
+        let rr = self.exact_check.residual(&mut self.scratch, x);
         self.urgent = rr.is_finite() && rr <= self.tol * URGENT_BAND;
         self.checks.push((global_iteration, rr));
         stop_rule(self.tol, rr).0
     }
 
     fn fused_check(&mut self, _global_iteration: usize, estimate_sq: f64) -> bool {
-        if self.rhs_norm == 0.0 {
+        let rhs_norm = self.exact_check.b_norm();
+        if rhs_norm == 0.0 {
             return true;
         }
         if self.fused_streak + 1 >= FUSED_FORCE_EXACT_EVERY {
             return true;
         }
-        let estimate = estimate_sq.sqrt() / self.rhs_norm;
+        let estimate = estimate_sq.sqrt() / rhs_norm;
         // Escalate on anything suspicious (non-finite estimate: the
         // divergent regime must reach the exact check, which stops on
         // it) or anywhere near the tolerance; skip only when the
@@ -675,6 +676,10 @@ pub struct AsyncJacobiKernel<'a> {
     /// instead of the plan's per-block selection (see
     /// [`force_tier`](Self::force_tier)).
     tier_override: Option<SweepTier>,
+    /// The instruction set every block update runs under, chosen once at
+    /// construction: the detected one for a stencil plan, the baseline for
+    /// a packed plan (see [`with_sweep_and_stencil`](Self::with_sweep_and_stencil)).
+    isa: Isa,
 }
 
 impl<'a> AsyncJacobiKernel<'a> {
@@ -712,6 +717,14 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// damping. Gauss-Seidel sweeps and the `damping == 0` residual pass
     /// walk the packed local rows, so those kernels compile the packed
     /// plan after verifying the descriptor.
+    ///
+    /// Every block update enters its loops through one [`Isa::run`]
+    /// entry. A stencil plan takes the widest instruction set the host
+    /// detects (AVX2 on x86-64): its sweeps load contiguous windows, and
+    /// 256-bit lanes run them in about 0.8× the time. A packed plan keeps
+    /// the baseline: its sweeps are bound by per-lane gathers, which AVX2
+    /// does not speed up, and on the daemon's 8-row ELL-SIMD blocks the
+    /// AVX2 entry measured 2–8 % slower. Both entries give the same bits.
     pub fn with_sweep_and_stencil(
         a: &'a CsrMatrix,
         rhs: &'a [f64],
@@ -729,6 +742,7 @@ impl<'a> AsyncJacobiKernel<'a> {
             }
             _ => BlockPlan::compile_with_stencil(a, partition, descriptor)?,
         };
+        let isa = if plan.descriptor().is_some() { Isa::detect() } else { Isa::BASELINE };
         Ok(AsyncJacobiKernel {
             a,
             rhs,
@@ -737,6 +751,7 @@ impl<'a> AsyncJacobiKernel<'a> {
             damping,
             local_sweep,
             tier_override: None,
+            isa,
         })
     }
 
@@ -759,8 +774,18 @@ impl<'a> AsyncJacobiKernel<'a> {
         self.tier_override = tier;
     }
 
+    /// Testing hook: runs every block update under `isa` instead of the
+    /// one chosen at construction, so the dispatch proptest can run every
+    /// tier through both entries on an AVX2 host. Both entries give the
+    /// same bits; this selects code, never numerics.
+    #[doc(hidden)]
+    pub fn force_isa(&mut self, isa: Isa) {
+        self.isa = isa;
+    }
+
     /// The tier block `b`'s Jacobi update will actually dispatch to,
     /// after applying any [`force_tier`](Self::force_tier) override.
+    #[inline(always)]
     pub fn resolved_tier(&self, b: usize) -> SweepTier {
         let compiled = self.plan.tier(b);
         match self.tier_override {
@@ -786,22 +811,28 @@ impl<'a> AsyncJacobiKernel<'a> {
         self.plan.nnz_local()
     }
 
-    /// Steps 1 and 2 of a block update, reading the iterate through `x`:
-    /// snapshot the block's values into `scratch.cur` (zeroing the pad
-    /// slots so ELL padding entries stay numerically inert) and freeze
-    /// the off-block part into `scratch.frozen`. A stencil block freezes
-    /// over its runs' halo taps, `b_r − Σ c·x[r + d]`, and reads no stored
-    /// halo; any other block makes one linear gather per row over the
-    /// packed halo. Both visit the off-block entries in source CSR order,
-    /// so both are bit-identical to the reference's two-span subtraction.
-    #[inline]
-    fn load_block(&self, b: usize, x: impl Fn(usize) -> f64, scratch: &mut BlockScratch) {
+    /// Steps 1 and 2 of a block update, reading the iterate through
+    /// `view`: snapshot the block's values into `scratch.cur` with one
+    /// range read (zeroing the pad slots so ELL padding entries stay
+    /// numerically inert) and freeze the off-block part into
+    /// `scratch.frozen`, reading each off-block component through `x`. A
+    /// stencil block freezes over its runs' halo taps, `b_r − Σ
+    /// c·x[r + d]`, and reads no stored halo; any other block makes one
+    /// linear gather per row over the packed halo. Both visit the
+    /// off-block entries in source CSR order, so both are bit-identical to
+    /// the reference's two-span subtraction.
+    #[inline(always)]
+    fn load_block(
+        &self,
+        b: usize,
+        view: &XView<'_>,
+        x: impl Fn(usize) -> f64,
+        scratch: &mut BlockScratch,
+    ) {
         let (start, end) = self.plan.block_rows(b);
         let nb = end - start;
         let BlockScratch { cur, next, frozen } = scratch;
-        for (li, c) in cur[..nb].iter_mut().enumerate() {
-            *c = x(start + li);
-        }
+        view.load_range(start, &mut cur[..nb]);
         cur[nb] = 0.0;
         next[nb] = 0.0;
         let rhs = &self.rhs[start..end];
@@ -918,7 +949,7 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// inner loop: padding entries multiply the guaranteed-zero pad slot
     /// `cur[nb]`, contributing an exact `- 0.0` to the accumulator.
     /// Damping is monomorphised out of the loop via `DAMPED`.
-    #[inline]
+    #[inline(always)]
     fn sweeps_jacobi_ell<const DAMPED: bool>(
         &self,
         ell: &BlockEll,
@@ -957,7 +988,7 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// multiply `0.0` by the guaranteed-zero `cur[nb]`, for every input
     /// including non-finite iterates. Rows `nb % 4` run the scalar
     /// epilogue verbatim.
-    #[inline]
+    #[inline(always)]
     fn sweeps_jacobi_ell_simd<const DAMPED: bool>(
         &self,
         ell: &BlockEll,
@@ -1018,7 +1049,7 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// and offsets in registers. A run wider than one chunk parks its
     /// partial sums in `next` between chunks (a store and reload is
     /// exact), so the accumulation order never changes.
-    #[inline]
+    #[inline(always)]
     fn sweeps_jacobi_stencil<const DAMPED: bool>(
         &self,
         sb: &StencilBlock,
@@ -1055,7 +1086,7 @@ impl<'a> AsyncJacobiKernel<'a> {
     }
 
     /// `k` Jacobi sweeps over the packed local CSR (wide-row blocks).
-    #[inline]
+    #[inline(always)]
     fn sweeps_jacobi_csr<const DAMPED: bool>(
         &self,
         start: usize,
@@ -1082,22 +1113,23 @@ impl<'a> AsyncJacobiKernel<'a> {
 
     /// Exact residual sub-norm `Σ_i r_i²` of block `b`'s rows at the local
     /// iterate `cur`, with the off-block contribution frozen in `frozen` —
-    /// one extra pass over the packed local operator. Used by the fused
-    /// estimator when the sweep retains no previous iterate (Gauss-Seidel
-    /// updates in place, and `damping == 0` makes the Jacobi delta
-    /// degenerate).
+    /// one extra pass over the packed local operator, with no division.
+    /// Used by the fused estimator when the sweep retains no previous
+    /// iterate (Gauss-Seidel updates in place, and `damping == 0` makes the
+    /// Jacobi delta degenerate).
+    #[inline(always)]
     fn local_residual_sq_at(&self, b: usize, cur: &[f64], frozen: &[f64]) -> f64 {
         let (start, end) = self.plan.block_rows(b);
-        let inv_diag = &self.plan.inv_diag()[start..end];
+        let diag = &self.plan.diag()[start..end];
         let mut sum = 0.0;
-        for li in 0..end - start {
+        for (li, &d) in diag.iter().enumerate() {
             let (lc, lv) = self.plan.local_row(start + li);
             let mut acc = frozen[li];
             for (&c, &v) in lc.iter().zip(lv) {
                 acc -= v * cur[c as usize];
             }
             // acc still carries the diagonal term: r_i = acc - a_ii * cur_i
-            let r = acc - cur[li] / inv_diag[li];
+            let r = acc - d * cur[li];
             sum += r * r;
         }
         sum
@@ -1106,7 +1138,7 @@ impl<'a> AsyncJacobiKernel<'a> {
     /// `k` Gauss-Seidel sweeps over the packed local CSR. GS is
     /// row-sequential by definition (each row reads the rows above it
     /// from *this* sweep), so it always takes the CSR path.
-    #[inline]
+    #[inline(always)]
     fn sweeps_gs_csr<const DAMPED: bool>(
         &self,
         start: usize,
@@ -1137,6 +1169,7 @@ const MAX_ARITY: usize = 8;
 
 /// A stencil run's tap list in chunks of at most [`MAX_ARITY`]; a run
 /// without taps is one empty chunk, since its rows still need updating.
+#[inline(always)]
 fn tap_chunks(taps: &[(isize, f64)]) -> impl ExactSizeIterator<Item = &[(isize, f64)]> {
     let n = taps.len().div_ceil(MAX_ARITY).max(1);
     (0..n).map(move |c| &taps[c * MAX_ARITY..taps.len().min((c + 1) * MAX_ARITY)])
@@ -1201,29 +1234,84 @@ fn halo_pass<const N: usize, X: Fn(usize) -> f64>(
     }
 }
 
-/// `y = A x` for a stencil plan's operator, run by run: each row's
-/// off-block taps, in-block taps and centre merged into ascending offset
-/// order (the source-CSR column order) and summed from `0.0`, as
+/// `y = A x` for a stencil plan's operator, run by run under `isa`: each
+/// row's off-block taps, in-block taps and centre merged into ascending
+/// offset order (the source-CSR column order) and summed from `0.0`, as
 /// `CsrMatrix::spmv` sums a row, so every `y[r]` is bit-identical to the
-/// stored-matrix product. `y` holds `plan.n()` rows.
-pub(crate) fn stencil_mul(plan: &BlockPlan, x: &[f64], y: &mut [f64]) {
-    let center = plan.descriptor().expect("a stencil plan").center();
-    let mut row = Vec::new();
-    for b in 0..plan.n_blocks() {
-        let (start, end) = plan.block_rows(b);
-        let y = &mut y[start..end];
-        for run in plan.stencil_block(b).expect("a stencil plan").runs() {
-            row.clear();
-            row.extend(run.halo.iter().chain(&run.taps).copied());
-            row.push((0, center));
-            row.sort_unstable_by_key(|&(off, _)| off);
-            let rows = (run.lo as usize, run.hi as usize);
-            for (c, taps) in tap_chunks(&row).enumerate() {
-                if c == 0 {
-                    by_arity!(taps.len(), product_pass::<true>(taps, rows, start, x, y));
-                } else {
-                    by_arity!(taps.len(), product_pass::<false>(taps, rows, start, x, y));
+/// stored-matrix product, under either instruction set. `y` holds
+/// `plan.n()` rows. Public for the dispatch proptest; the exact checks
+/// reach it through
+/// [`stencil_relative_residual_with`](crate::convergence::stencil_relative_residual_with).
+#[doc(hidden)]
+pub fn stencil_mul(isa: Isa, plan: &BlockPlan, x: &[f64], y: &mut [f64]) {
+    isa.run(
+        #[inline(always)]
+        || {
+            let mut row = Vec::new();
+            for b in 0..plan.n_blocks() {
+                let (start, end) = plan.block_rows(b);
+                block_product(plan, b, x, &mut y[start..end], &mut row);
+            }
+        },
+    )
+}
+
+/// `‖b − A x‖₂` for a stencil plan's operator, under `isa`, one block at
+/// a time: `rows` (sized to the widest block) takes one block's product,
+/// bit for bit [`stencil_mul`]'s, and the squared residuals `(b_r − y_r)²`
+/// are added to one sequential sum in row order, as `blas1::norm2` sums
+/// the full `b − A x`; so the result has its bits, with no `n`-long
+/// buffer written and read back.
+pub(crate) fn stencil_residual_norm(
+    isa: Isa,
+    plan: &BlockPlan,
+    b: &[f64],
+    x: &[f64],
+    rows: &mut Vec<f64>,
+) -> f64 {
+    rows.resize(plan.widest_block(), 0.0);
+    isa.run(
+        #[inline(always)]
+        || {
+            let mut row = Vec::new();
+            let mut sum_sq = 0.0;
+            for blk in 0..plan.n_blocks() {
+                let (start, end) = plan.block_rows(blk);
+                let y = &mut rows[..end - start];
+                block_product(plan, blk, x, y, &mut row);
+                for (&yr, &br) in y.iter().zip(&b[start..end]) {
+                    let r = br - yr;
+                    sum_sq += r * r;
                 }
+            }
+            sum_sq.sqrt()
+        },
+    )
+}
+
+/// Block `b`'s rows of `y = A x` for a stencil plan, run by run, into
+/// `y` (the block's rows); `row` is a reused tap list.
+#[inline(always)]
+fn block_product(
+    plan: &BlockPlan,
+    b: usize,
+    x: &[f64],
+    y: &mut [f64],
+    row: &mut Vec<(isize, f64)>,
+) {
+    let center = plan.descriptor().expect("a stencil plan").center();
+    let (start, _) = plan.block_rows(b);
+    for run in plan.stencil_block(b).expect("a stencil plan").runs() {
+        row.clear();
+        row.extend(run.halo.iter().chain(&run.taps).copied());
+        row.push((0, center));
+        row.sort_unstable_by_key(|&(off, _)| off);
+        let rows = (run.lo as usize, run.hi as usize);
+        for (c, taps) in tap_chunks(row).enumerate() {
+            if c == 0 {
+                by_arity!(taps.len(), product_pass::<true>(taps, rows, start, x, y));
+            } else {
+                by_arity!(taps.len(), product_pass::<false>(taps, rows, start, x, y));
             }
         }
     }
@@ -1305,6 +1393,48 @@ fn stencil_pass<const N: usize, const IN_PLACE: bool, const FINISH: bool, const 
     }
 }
 
+/// `Σ (new_i − old_i)²`, eight rows at a time in two four-lane sums (so
+/// consecutive adds do not wait on each other), reduced once: the
+/// estimate sum of a stencil block.
+#[inline(always)]
+fn delta_sq(new: &[f64], old: &[f64]) -> f64 {
+    let new = new.chunks_exact(2 * LANES);
+    let old = old.chunks_exact(2 * LANES);
+    let mut tail = 0.0;
+    for (n, o) in new.remainder().iter().zip(old.remainder()) {
+        tail += (n - o) * (n - o);
+    }
+    let (mut lo, mut hi) = (f64x4::splat(0.0), f64x4::splat(0.0));
+    for (n, o) in new.zip(old) {
+        let d = f64x4::load(n) - f64x4::load(o);
+        lo = lo + d * d;
+        let d = f64x4::load(&n[LANES..]) - f64x4::load(&o[LANES..]);
+        hi = hi + d * d;
+    }
+    (lo + hi).reduce_sum() + tail
+}
+
+/// `Σ ((new_i − old_i) · diag_i)²`, summed as [`delta_sq`] sums: the
+/// estimate sum of a packed block.
+#[inline(always)]
+fn scaled_delta_sq(new: &[f64], old: &[f64], diag: &[f64]) -> f64 {
+    let new = new.chunks_exact(2 * LANES);
+    let old = old.chunks_exact(2 * LANES);
+    let diag = diag.chunks_exact(2 * LANES);
+    let mut tail = 0.0;
+    for ((n, o), a) in new.remainder().iter().zip(old.remainder()).zip(diag.remainder()) {
+        tail += ((n - o) * a) * ((n - o) * a);
+    }
+    let (mut lo, mut hi) = (f64x4::splat(0.0), f64x4::splat(0.0));
+    for ((n, o), a) in new.zip(old).zip(diag) {
+        let r = (f64x4::load(n) - f64x4::load(o)) * f64x4::load(a);
+        lo = lo + r * r;
+        let r = (f64x4::load(&n[LANES..]) - f64x4::load(&o[LANES..])) * f64x4::load(&a[LANES..]);
+        hi = hi + r * r;
+    }
+    (lo + hi).reduce_sum() + tail
+}
+
 impl BlockKernel for AsyncJacobiKernel<'_> {
     fn n(&self) -> usize {
         self.plan.n()
@@ -1340,6 +1470,48 @@ impl BlockKernel for AsyncJacobiKernel<'_> {
         out: &mut [f64],
         scratch: &mut BlockScratch,
     ) {
+        self.isa.run(#[inline(always)] || self.update::<false>(b, x, out, scratch));
+    }
+
+    fn update_block_estimating(
+        &self,
+        b: usize,
+        x: &XView<'_>,
+        out: &mut [f64],
+        scratch: &mut BlockScratch,
+    ) -> Option<f64> {
+        self.isa.run(#[inline(always)] || self.update::<true>(b, x, out, scratch))
+    }
+}
+
+impl AsyncJacobiKernel<'_> {
+    /// One block update — freeze, sweeps, and with `ESTIMATE` the fused
+    /// residual sub-norm — inlined whole into each [`Isa::run`] entry, so
+    /// the AVX2 entry compiles every loop of it for AVX2.
+    ///
+    /// The estimate of a Jacobi update (`damping != 0`) comes from the
+    /// update law rather than a matrix pass. After the sweeps `cur` holds
+    /// the committed local iterate and `next` the previous inner iterate
+    /// (the final double-buffer swap), and new_i = prev_i + τ(sweep_i −
+    /// prev_i) with r_i(prev) = a_ii (sweep_i − prev_i), so r_i = (new_i −
+    /// prev_i) · a_ii / τ. For k = 1 this is exactly the residual of the
+    /// snapshot the update read; for k > 1 it trails the committed iterate
+    /// by one inner sweep (the monitor's guard band covers that, and
+    /// convergence is only ever declared on the exact check). The sum
+    /// takes one lane-parallel pass over the block while it is still in
+    /// cache, with no division: a stencil plan has one diagonal, the
+    /// descriptor's centre, so it sums the squared changes and scales the
+    /// sum once; a packed plan weights each change by its stored diagonal.
+    /// Gauss-Seidel and `damping == 0` keep no previous iterate and price
+    /// the local residual at the committed iterate instead.
+    #[inline(always)]
+    fn update<const ESTIMATE: bool>(
+        &self,
+        b: usize,
+        x: &XView<'_>,
+        out: &mut [f64],
+        scratch: &mut BlockScratch,
+    ) -> Option<f64> {
         let (start, end) = self.plan.block_rows(b);
         let nb = end - start;
         debug_assert_eq!(out.len(), nb);
@@ -1347,9 +1519,9 @@ impl BlockKernel for AsyncJacobiKernel<'_> {
         // Steps 1 and 2 read the iterate: the view is matched once here,
         // and each arm runs a loop monomorphised over its read.
         match *x {
-            XView::Plain(s) => self.load_block(b, |i| s[i], scratch),
-            XView::Atomic(a) => self.load_block(b, |i| a.get(i), scratch),
-            XView::Staged(h) => self.load_block(b, |i| h.get(i), scratch),
+            XView::Plain(s) => self.load_block(b, x, |i| s[i], scratch),
+            XView::Atomic(a) => self.load_block(b, x, |i| a.get(i), scratch),
+            XView::Staged(h) => self.load_block(b, x, |i| h.get(i), scratch),
         }
         let BlockScratch { cur, next, frozen } = scratch;
 
@@ -1401,53 +1573,23 @@ impl BlockKernel for AsyncJacobiKernel<'_> {
             }
         }
         out.copy_from_slice(&cur[..nb]);
-    }
-
-    fn update_block_estimating(
-        &self,
-        b: usize,
-        x: &XView<'_>,
-        out: &mut [f64],
-        scratch: &mut BlockScratch,
-    ) -> Option<f64> {
-        self.update_block_with(b, x, out, scratch);
-        if self.local_iters == 0 {
+        if !ESTIMATE || self.local_iters == 0 {
             return None;
         }
-        let (start, end) = self.plan.block_rows(b);
-        let nb = end - start;
-        let inv_diag = &self.plan.inv_diag()[start..end];
-        match self.local_sweep {
-            LocalSweep::Jacobi if self.damping != 0.0 => {
-                // After the sweeps `cur` holds the committed local iterate
-                // and `next` the previous inner iterate (the final
-                // double-buffer swap), so the Jacobi update law yields the
-                // row residuals of that previous iterate with no matrix
-                // pass at all: new_i = prev_i + τ(sweep_i − prev_i) and
-                // r_i(prev) = a_ii (sweep_i − prev_i), hence
-                // r_i = (new_i − prev_i) / (τ · inv_diag_i). For k = 1
-                // this is exactly the residual of the snapshot the update
-                // read; for k > 1 it trails the committed iterate by one
-                // inner sweep (the monitor's guard band covers that, and
-                // convergence is only ever declared on the exact check).
-                let cur = &scratch.cur[..nb];
-                let prev = &scratch.next[..nb];
-                let inv_tau = 1.0 / self.damping;
-                let mut sum = 0.0;
-                for li in 0..nb {
-                    let r = (cur[li] - prev[li]) * inv_tau / inv_diag[li];
-                    sum += r * r;
+        let (new, prev) = (&cur[..nb], &next[..nb]);
+        Some(match self.local_sweep {
+            LocalSweep::Jacobi if self.damping != 0.0 => match self.plan.descriptor() {
+                Some(d) => {
+                    let scale = d.center() / self.damping;
+                    delta_sq(new, prev) * (scale * scale)
                 }
-                Some(sum)
-            }
-            _ => {
-                // Gauss-Seidel updates in place and retains no previous
-                // iterate: price one extra pass over the packed local
-                // operator for the exact local residual at the committed
-                // iterate (≤ 1/k of the sweep cost).
-                Some(self.local_residual_sq_at(b, &scratch.cur[..nb], &scratch.frozen[..nb]))
-            }
-        }
+                None => {
+                    let inv_tau = 1.0 / self.damping;
+                    scaled_delta_sq(new, prev, &self.plan.diag()[start..end]) * (inv_tau * inv_tau)
+                }
+            },
+            _ => self.local_residual_sq_at(b, new, &frozen[..nb]),
+        })
     }
 }
 
@@ -2320,6 +2462,14 @@ mod tests {
                 for (r, (v1, v2)) in r1.iter().zip(&r2).enumerate() {
                     prop_assert!(bits_eq(*v1, *v2), "family {} row {}: {} vs {}", which, r, v1, v2);
                 }
+                // the solves' check, one block's product at a time
+                let blockwise = crate::convergence::ExactCheck::new(&a, &rhs)
+                    .with_plan(&plan)
+                    .residual(&mut Vec::new(), &x);
+                prop_assert!(
+                    bits_eq(blockwise, csr),
+                    "family {} block-wise residual: {} vs {}", which, blockwise, csr
+                );
             }
         }
 

@@ -3,6 +3,7 @@
 
 use abr_sparse::block_plan::PAR_COMPILE_MIN_NNZ;
 use abr_sparse::par::ParContext;
+use abr_sparse::simd::Isa;
 use abr_sparse::{blas1, BlockPlan, CsrMatrix};
 
 /// Options common to all iterative solvers.
@@ -98,7 +99,12 @@ pub fn relative_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
 /// are irrelevant, on exit it holds `b - Ax`. Bit-identical to
 /// [`relative_residual`].
 pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
-    buf.clear();
+    matrix_residual(buf, a, b, blas1::norm2(b), x)
+}
+
+/// [`relative_residual_with`] with `‖b‖₂` given. The product writes
+/// every row of `buf`, so the buffer is only sized, never cleared.
+fn matrix_residual(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], b_norm: f64, x: &[f64]) -> f64 {
     buf.resize(a.n_rows(), 0.0);
     if a.nnz() >= PAR_COMPILE_MIN_NNZ {
         ParContext::paper_cpu().spmv(a, x, buf)
@@ -106,7 +112,7 @@ pub fn relative_residual_with(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], x: &
         a.spmv(x, buf)
     }
     .expect("dimensions checked by solver entry");
-    residual_norm(buf, b)
+    residual_norm(buf, b, b_norm)
 }
 
 /// [`relative_residual_with`] for the operator of a stencil plan (one
@@ -127,39 +133,73 @@ pub fn stencil_relative_residual_with(
     b: &[f64],
     x: &[f64],
 ) -> f64 {
-    buf.clear();
+    // the product writes every row of `buf`: sized, never cleared
     buf.resize(plan.n(), 0.0);
-    crate::async_block::stencil_mul(plan, x, buf);
-    residual_norm(buf, b)
+    crate::async_block::stencil_mul(Isa::detect(), plan, x, buf);
+    residual_norm(buf, b, blas1::norm2(b))
 }
 
 /// Turns `buf = A x` into `b - A x` and returns its norm relative to
-/// `‖b‖₂` (absolute when `b = 0`).
-fn residual_norm(buf: &mut [f64], b: &[f64]) -> f64 {
+/// `b_norm = ‖b‖₂` (absolute when `b = 0`).
+fn residual_norm(buf: &mut [f64], b: &[f64], b_norm: f64) -> f64 {
     for (ri, &bi) in buf.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
-    let nb = blas1::norm2(b);
-    if nb == 0.0 {
-        blas1::norm2(buf)
+    relative(blas1::norm2(buf), b_norm)
+}
+
+/// A residual norm relative to `b_norm = ‖b‖₂` (absolute when `b = 0`).
+fn relative(norm: f64, b_norm: f64) -> f64 {
+    if b_norm == 0.0 {
+        norm
     } else {
-        blas1::norm2(buf) / nb
+        norm / b_norm
     }
 }
 
-/// The exact residual check every monitor and stopping rule runs: through
-/// `stencil`'s runs when a stencil plan is given, else through the stored
-/// matrix. Bit-identical either way.
-pub(crate) fn exact_residual(
-    buf: &mut Vec<f64>,
-    a: &CsrMatrix,
-    stencil: Option<&BlockPlan>,
-    b: &[f64],
-    x: &[f64],
-) -> f64 {
-    match stencil {
-        Some(plan) => stencil_relative_residual_with(buf, plan, b, x),
-        None => relative_residual_with(buf, a, b, x),
+/// What the exact checks of one solve share: the right-hand side and its
+/// norm `‖b‖₂`, summed once (with [`blas1::norm2`]'s sequential sum, so
+/// every check's bits are those of [`relative_residual_with`]), and, for
+/// a stencil plan, the plan and the instruction set its product runs
+/// under, detected once.
+#[derive(Clone, Copy)]
+pub(crate) struct ExactCheck<'a> {
+    a: &'a CsrMatrix,
+    stencil: Option<(&'a BlockPlan, Isa)>,
+    b: &'a [f64],
+    b_norm: f64,
+}
+
+impl<'a> ExactCheck<'a> {
+    pub(crate) fn new(a: &'a CsrMatrix, b: &'a [f64]) -> Self {
+        ExactCheck { a, stencil: None, b, b_norm: blas1::norm2(b) }
+    }
+
+    /// Routes the checks through `plan`'s stencil runs when `plan` is a
+    /// stencil plan of the matrix; a packed plan changes nothing.
+    pub(crate) fn with_plan(mut self, plan: &'a BlockPlan) -> Self {
+        self.stencil = plan.descriptor().is_some().then(|| (plan, Isa::detect()));
+        self
+    }
+
+    /// `‖b‖₂`.
+    pub(crate) fn b_norm(&self) -> f64 {
+        self.b_norm
+    }
+
+    /// The relative residual of `x`, through the stencil runs when a
+    /// stencil plan is set, else through the stored matrix; bit-identical
+    /// either way. `buf` is scratch: the stored-matrix check writes all of
+    /// `b − A x` there, the stencil check one block's product at a time
+    /// (see [`stencil_residual_norm`](crate::async_block::stencil_residual_norm)).
+    pub(crate) fn residual(&self, buf: &mut Vec<f64>, x: &[f64]) -> f64 {
+        match self.stencil {
+            Some((plan, isa)) => relative(
+                crate::async_block::stencil_residual_norm(isa, plan, self.b, x, buf),
+                self.b_norm,
+            ),
+            None => matrix_residual(buf, self.a, self.b, self.b_norm, x),
+        }
     }
 }
 
@@ -180,10 +220,7 @@ pub(crate) fn stop_rule(tol: f64, rr: f64) -> (bool, bool) {
 /// concurrent monitor runs the checks, reports its run through
 /// [`stopped_by`](Self::stopped_by) or [`advance`](Self::advance) instead.
 pub(crate) struct Progress<'a> {
-    a: &'a CsrMatrix,
-    /// A stencil plan of `a`, when its checks go through the stencil runs.
-    stencil: Option<&'a BlockPlan>,
-    b: &'a [f64],
+    exact_check: ExactCheck<'a>,
     opts: &'a SolveOptions,
     iterations: usize,
     converged: bool,
@@ -197,9 +234,7 @@ pub(crate) struct Progress<'a> {
 impl<'a> Progress<'a> {
     pub(crate) fn new(a: &'a CsrMatrix, b: &'a [f64], opts: &'a SolveOptions) -> Self {
         Progress {
-            a,
-            stencil: None,
-            b,
+            exact_check: ExactCheck::new(a, b),
             opts,
             iterations: 0,
             converged: false,
@@ -214,8 +249,14 @@ impl<'a> Progress<'a> {
     /// is a stencil plan of the matrix (bit-identical, see
     /// [`stencil_relative_residual_with`]); a packed plan changes nothing.
     pub(crate) fn with_plan(mut self, plan: &'a BlockPlan) -> Self {
-        self.stencil = plan.descriptor().is_some().then_some(plan);
+        self.exact_check = self.exact_check.with_plan(plan);
         self
+    }
+
+    /// The exact check this run measures with (a concurrent monitor
+    /// shares it).
+    pub(crate) fn exact_check(&self) -> ExactCheck<'a> {
+        self.exact_check
     }
 
     /// Whether another iteration is due: no stop yet and budget left.
@@ -346,7 +387,7 @@ impl<'a> Progress<'a> {
     }
 
     fn measure(&mut self, x: &[f64]) -> f64 {
-        exact_residual(&mut self.buf, self.a, self.stencil, self.b, x)
+        self.exact_check.residual(&mut self.buf, x)
     }
 }
 

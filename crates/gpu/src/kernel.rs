@@ -100,8 +100,11 @@ pub trait BlockKernel: Sync {
     /// Like [`update_block_with`](Self::update_block_with), but also
     /// returns the block's **fused residual sub-norm estimate**:
     /// `Σ_{i ∈ block} r_i²` where `r_i ≈ (b − A x)_i` is evaluated from
-    /// values the sweep already holds in registers (the off-block halo
-    /// frozen at the snapshot the update read). The estimate prices a
+    /// values the sweep already holds (the off-block halo frozen at the
+    /// snapshot the update read). The async-(k) kernel derives it from
+    /// its update law in one lane-parallel, division-free pass over the
+    /// block's sweep buffers while they are still in cache, not from a
+    /// matrix product. The estimate prices a
     /// cheap convergence poll — the persistent executor's monitor reduces
     /// one slot per block instead of running an O(nnz) SpMV — and is
     /// **never** the basis for declaring convergence: the executor always

@@ -19,13 +19,14 @@
 //!   its home shard first and steals from the others only when its own is
 //!   exhausted, so no single contended counter sits on the hot path.
 //! * **The host is the monitor.** The calling thread plays the paper's
-//!   host: it snapshots the live [`AtomicF64Vec`] into a reused buffer,
-//!   runs an arbitrary [`ConvergenceMonitor`] check against it *while the
+//!   host: it snapshots the live [`AtomicF64Vec`] into the caller's
+//!   iterate buffer (free once the run has copied it in), runs an
+//!   arbitrary [`ConvergenceMonitor`] check against it *while the
 //!   workers keep iterating*, and raises an atomic stop flag when the
 //!   check fires — a Release store paired with the workers' Acquire
 //!   loads, so the global-iteration watermark recorded at the stop is
 //!   coherent with what the stopping workers observe. A stopped run
-//!   returns the snapshot that check measured.
+//!   returns the snapshot that check measured, which is already in place.
 //!
 //! Results are non-deterministic run to run; the discrete-event
 //! simulator remains the reproducible oracle.
@@ -567,15 +568,14 @@ impl ConvergenceMonitor for NoMonitor {
 }
 
 /// Reusable storage for [`PersistentExecutor::run_session`]: the shared atomic
-/// iterate, the monitor's snapshot buffer, the per-shard ticket lists and
-/// counters, and the per-block bookkeeping. Reusing one workspace across
-/// solves of the same system performs **zero** heap allocation after the
-/// first run's capacities stabilise (asserted by
-/// `tests/persistent_executor.rs`).
+/// iterate, the per-shard ticket lists and counters, and the per-block
+/// bookkeeping. The monitor needs no buffer of its own: it snapshots into
+/// the caller's iterate. Reusing one workspace across solves of the same
+/// system performs **zero** heap allocation after the first run's
+/// capacities stabilise (asserted by `tests/persistent_executor.rs`).
 #[derive(Debug, Default)]
 pub struct PersistentWorkspace {
     x: AtomicF64Vec,
-    snapshot: Vec<f64>,
     /// One materialised schedule cycle per shard: `cycle * shard_len[s]`
     /// block ids, in dispatch order.
     shard_tickets: Vec<Vec<u32>>,
@@ -613,11 +613,11 @@ impl PersistentWorkspace {
         Self::default()
     }
 
-    /// Fingerprint of the monitor's snapshot buffer (pointer, capacity) —
-    /// the observable the zero-copy acceptance test watches across
-    /// repeated solves.
+    /// Fingerprint (pointer, capacity) of the shared iterate the monitor
+    /// snapshots from — the observable the zero-copy acceptance test
+    /// watches across repeated solves: a same-length run reuses it.
     pub fn snapshot_fingerprint(&self) -> (usize, usize) {
-        (self.snapshot.as_ptr() as usize, self.snapshot.capacity())
+        self.x.storage_fingerprint()
     }
 
     /// Total ticket capacity currently materialised (across shards).
@@ -642,7 +642,6 @@ impl PersistentWorkspace {
     ) {
         let nb = kernel.n_blocks();
         self.x.reset_from(x0);
-        self.snapshot.resize(x0.len(), 0.0);
 
         self.shard_len.clear();
         match shard_offsets {
@@ -965,7 +964,7 @@ impl PersistentExecutor {
         }
         let offsets = shards.map(|p| p.offsets());
         ws.prepare(kernel, x, rounds, schedule, n_shards, n_workers, offsets);
-        let (st, snap) = RunState::new(ws, kernel, filter, halo, faults, &self.opts);
+        let st = RunState::new(ws, kernel, filter, halo, faults, &self.opts);
         let started = Instant::now();
 
         let worker = |w: usize| run_worker(&st, w);
@@ -975,7 +974,9 @@ impl PersistentExecutor {
             // contract assert) raises stop on the way out so the wait
             // below does not run the workers' full round budget.
             let _raise = RaiseStopOnExit(&st.stop);
-            let mut host = Host::new(monitor, snap, cancel, &self.opts, &st);
+            // The shared iterate now holds `x`, so the monitor snapshots
+            // into it.
+            let mut host = Host::new(monitor, x, cancel, &self.opts, &st);
             host.run(&st);
             host
         };
@@ -1000,11 +1001,10 @@ impl PersistentExecutor {
             lag,
             report.fault.max_outage_rounds
         );
-        // No poll runs after the stop, so a stopped run's snapshot is
-        // still the iterate its stopping check measured.
-        match report.outcome {
-            RunOutcome::Stopped => x.copy_from_slice(snap),
-            _ => xa.copy_into(x),
+        // No poll runs after the stop, so a stopped run's `x` still holds
+        // the snapshot its stopping check measured.
+        if report.outcome != RunOutcome::Stopped {
+            xa.copy_into(x);
         }
         (trace, report)
     }
@@ -1070,18 +1070,16 @@ struct RunState<'r> {
 }
 
 impl<'r> RunState<'r> {
-    /// The shared state of one run over a prepared workspace, and the
-    /// workspace's snapshot buffer. Disjoint borrows of the workspace:
-    /// workers share the immutable parts, the monitor alone touches the
-    /// snapshot buffer.
+    /// The shared state of one run over a prepared workspace: workers and
+    /// monitor share its immutable parts.
     fn new(
-        ws: &'r mut PersistentWorkspace,
+        ws: &'r PersistentWorkspace,
         kernel: &'r dyn BlockKernel,
         filter: &'r dyn UpdateFilter,
         halo: Option<&'r HaloExchange>,
         faults: Option<&'r FaultPlan>,
         opts: &PersistentOptions,
-    ) -> (RunState<'r>, &'r mut [f64]) {
+    ) -> RunState<'r> {
         // `prepare` sized these: one heartbeat per worker, one length per
         // shard.
         let n_workers = ws.heartbeats.len();
@@ -1128,7 +1126,7 @@ impl<'r> RunState<'r> {
                 .collect(),
             shard_fence: shard_fences(faults, n_workers, n_shards),
         };
-        (st, &mut ws.snapshot)
+        st
     }
 }
 
@@ -1444,36 +1442,46 @@ fn sweep_and_commit(
         }
     }
     let (bs, be) = st.kernel.block_range(block);
-    me.out.clear();
-    me.out.resize(be - bs, 0.0);
+    // Grow-only: the kernel writes every row of `out` before it returns.
+    if me.out.len() < be - bs {
+        me.out.resize(be - bs, 0.0);
+    }
+    let out = &mut me.out[..be - bs];
+    let scratch = &mut me.scratch;
     // A panicking sweep (a planned Panic fault or a genuinely buggy
     // kernel) is isolated here: the commit is dropped, the flag still
     // released, the run degraded but never aborted. `AssertUnwindSafe` is
-    // sound because `out` is rebuilt above and the kernel contract
+    // sound because nothing an unwound sweep leaves behind is read again:
+    // `out` is committed only when the sweep returns, and a later update
+    // overwrites every row of it before committing; the kernel contract
     // re-initialises every scratch region it reads, so a torn state from
     // an unwound sweep cannot leak into a later one.
     let view = &st.shard_views[s];
+    let poisoned = me.poisoned;
+    let w = me.w;
     let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if me.poisoned {
+        if poisoned {
             panic!(
-                "injected fault: worker {} poisoned, \
-                 sweep of block {block} round {round} panics",
-                me.w
+                "injected fault: worker {w} poisoned, \
+                 sweep of block {block} round {round} panics"
             );
         }
         if st.fuse {
-            st.kernel.update_block_estimating(block, view, &mut me.out, &mut me.scratch)
+            st.kernel.update_block_estimating(block, view, out, scratch)
         } else {
-            st.kernel.update_block_with(block, view, &mut me.out, &mut me.scratch);
+            st.kernel.update_block_with(block, view, out, scratch);
             None
         }
     }));
     if let Ok(estimate) = swept {
         // one filter query per block when it filters no component here
-        let all = st.filter.all_components_enabled(bs, be, round);
-        for (k, &v) in me.out.iter().enumerate() {
-            if all || st.filter.component_enabled(bs + k, round) {
-                st.xa.set(bs + k, v);
+        if st.filter.all_components_enabled(bs, be, round) {
+            st.xa.store_range(bs, out);
+        } else {
+            for (k, &v) in out.iter().enumerate() {
+                if st.filter.component_enabled(bs + k, round) {
+                    st.xa.set(bs + k, v);
+                }
             }
         }
         // sync: Relaxed is safe under the held in-flight flag; cross-thread
@@ -1950,9 +1958,7 @@ impl<'h> Host<'h> {
             self.pacer.fused_polled(poll_started.elapsed());
             return;
         }
-        for (i, sl) in self.snap.iter_mut().enumerate() {
-            *sl = st.xa.get(i);
-        }
+        st.xa.copy_into(self.snap);
         self.checks += 1;
         if self.monitor.check(watermark, self.snap) {
             self.stopped_at = Some(watermark);

@@ -81,6 +81,26 @@ impl AtomicF64Vec {
         self.data.len() < HB_SAMPLE_FULL_BELOW || i.is_multiple_of(HB_SAMPLE_STRIDE)
     }
 
+    /// The happens-before hook of a write to component `i` (sampled):
+    /// live-iterate stores are exclusive per block — a second writer must
+    /// happen-after via the in-flight hand-off; stage stores are declared
+    /// racy.
+    #[cfg(any(feature = "model", feature = "sanitize"))]
+    #[inline]
+    fn hb_write(&self, i: usize, cell: &SyncU64) {
+        if self.hb_sampled(i) {
+            hb::on_data_write(
+                hb::id_of(cell),
+                if self.racy_writes { hb::Access::WriteRacy } else { hb::Access::WriteExcl },
+            );
+        }
+    }
+
+    /// No shadow to update outside `model`/`sanitize` builds.
+    #[cfg(not(any(feature = "model", feature = "sanitize")))]
+    #[inline(always)]
+    fn hb_write(&self, _i: usize, _cell: &SyncU64) {}
+
     /// Reloads the vector with `values`, reusing the existing storage
     /// when the length matches. This is what lets a persistent-executor
     /// workspace be reused across solves without reallocating the shared
@@ -126,9 +146,51 @@ impl AtomicF64Vec {
     /// copy exact.
     pub fn copy_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.len(), "copy_into: length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.get(i);
+        self.load_range(0, out);
+    }
+
+    /// Reads components `start..start + out.len()` into `out`: one
+    /// `Relaxed` load per component, as [`get`](Self::get) makes, behind
+    /// one bounds check for the whole range. The same per-component epoch
+    /// semantics as [`copy_into`](Self::copy_into).
+    ///
+    /// # Panics
+    ///
+    /// When the range runs past the end of the vector.
+    #[inline]
+    pub fn load_range(&self, start: usize, out: &mut [f64]) {
+        let cells = &self.data[start..start + out.len()];
+        for (o, c) in out.iter_mut().zip(cells) {
+            // sync: stale iterate reads are the algorithm's contract, as
+            // in `get`; a range is just many of them.
+            *o = f64::from_bits(c.load(Ordering::Relaxed));
         }
+    }
+
+    /// Writes `values` to components `start..start + values.len()`: one
+    /// `Relaxed` store per component, as [`set`](Self::set) makes, behind
+    /// one bounds check for the whole range. Under `model`/`sanitize`
+    /// every sampled component still goes through the happens-before
+    /// hook `set` fires.
+    ///
+    /// # Panics
+    ///
+    /// When the range runs past the end of the vector.
+    #[inline]
+    pub fn store_range(&self, start: usize, values: &[f64]) {
+        let cells = &self.data[start..start + values.len()];
+        for (i, (c, &v)) in (start..).zip(cells.iter().zip(values)) {
+            self.hb_write(i, c);
+            // sync: the same publication as `set`: untorn atomicity only,
+            // the in-flight flag orders block hand-offs.
+            c.store(v.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// (pointer, capacity) of the storage: what a caller reusing the
+    /// vector watches to see it was not reallocated.
+    pub(crate) fn storage_fingerprint(&self) -> (usize, usize) {
+        (self.data.as_ptr() as usize, self.data.capacity())
     }
 
     /// Vector length.
@@ -153,16 +215,7 @@ impl AtomicF64Vec {
     /// Writes component `i` (relaxed).
     #[inline]
     pub fn set(&self, i: usize, v: f64) {
-        // hb shadow (sampled): live-iterate stores are exclusive per
-        // block — a second writer must happen-after via the in-flight
-        // hand-off; stage stores are declared racy.
-        #[cfg(any(feature = "model", feature = "sanitize"))]
-        if self.hb_sampled(i) {
-            hb::on_data_write(
-                hb::id_of(&self.data[i]),
-                if self.racy_writes { hb::Access::WriteRacy } else { hb::Access::WriteExcl },
-            );
-        }
+        self.hb_write(i, &self.data[i]);
         // sync: component publication needs only untorn atomicity; when
         // cross-block visibility order matters (block hand-off) the
         // in-flight flag's Release/Acquire pair provides it.
@@ -248,6 +301,23 @@ impl XView<'_> {
         }
     }
 
+    /// Reads components `start..start + out.len()` into `out`, bit for
+    /// bit what [`get`](Self::get) returns per component: one slice copy
+    /// from plain storage, one bounds check for the range from atomic
+    /// storage, and per-component routing through a staged view.
+    #[inline]
+    pub fn load_range(&self, start: usize, out: &mut [f64]) {
+        match self {
+            XView::Plain(s) => out.copy_from_slice(&s[start..start + out.len()]),
+            XView::Atomic(a) => a.load_range(start, out),
+            XView::Staged(h) => {
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = h.get(start + k);
+                }
+            }
+        }
+    }
+
     /// Vector length.
     pub fn len(&self) -> usize {
         match self {
@@ -324,6 +394,89 @@ mod tests {
         live.set(3, 99.0);
         assert_eq!(v.get(2), 99.0);
         assert_eq!(v.get(3), 3.0);
+    }
+
+    /// Awkward bit patterns: NaN payloads of both signs, both zeros,
+    /// subnormals and infinities.
+    fn awkward_values() -> Vec<f64> {
+        [
+            0x7ff8_0000_0000_0001_u64,
+            0xfff4_0000_dead_beef,
+            0x8000_0000_0000_0000,
+            0,
+            1,
+            0x8000_0000_0000_0003,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            1.5f64.to_bits(),
+            (-2.75f64).to_bits(),
+        ]
+        .iter()
+        .map(|&b| f64::from_bits(b))
+        .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn range_loads_agree_with_get_bit_for_bit() {
+        let vals = awkward_values();
+        let v = AtomicF64Vec::from_slice(&vals);
+        let n = vals.len();
+        for start in 0..=n {
+            for len in 0..=n - start {
+                let mut out = vec![9.0; len];
+                v.load_range(start, &mut out);
+                let want: Vec<f64> = (start..start + len).map(|i| v.get(i)).collect();
+                assert_eq!(bits(&out), bits(&want), "range {start}..{}", start + len);
+                let mut via_view = vec![9.0; len];
+                XView::Atomic(&v).load_range(start, &mut via_view);
+                assert_eq!(bits(&via_view), bits(&want));
+                XView::Plain(&vals).load_range(start, &mut via_view);
+                assert_eq!(bits(&via_view), bits(&want));
+            }
+        }
+        let mut all = vec![0.0; n];
+        v.copy_into(&mut all);
+        assert_eq!(bits(&all), bits(&vals));
+    }
+
+    #[test]
+    fn range_stores_agree_with_set_bit_for_bit() {
+        let vals = awkward_values();
+        let n = vals.len();
+        for start in 0..=n {
+            for len in 0..=n - start {
+                let ranged = AtomicF64Vec::from_slice(&vec![7.0; n]);
+                let single = AtomicF64Vec::from_slice(&vec![7.0; n]);
+                let src = &vals[n - len..];
+                ranged.store_range(start, src);
+                for (k, &x) in src.iter().enumerate() {
+                    single.set(start + k, x);
+                }
+                let read = |v: &AtomicF64Vec| (0..n).map(|i| v.get(i)).collect::<Vec<_>>();
+                assert_eq!(bits(&read(&ranged)), bits(&read(&single)), "{start}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn staged_range_load_routes_per_component() {
+        let live = AtomicF64Vec::from_slice(&[10.0, 11.0, 12.0, 13.0]);
+        let stage = AtomicF64Vec::from_slice(&[0.0, 1.0, 2.0, 3.0]);
+        let v = XView::Staged(HaloView::new(&live, &stage, 1, 3));
+        let mut out = [0.0; 4];
+        v.load_range(0, &mut out);
+        assert_eq!(out, [0.0, 11.0, 12.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn range_past_the_end_panics() {
+        let v = AtomicF64Vec::from_slice(&[1.0, 2.0]);
+        v.store_range(1, &[3.0, 4.0]);
     }
 
     #[test]

@@ -136,6 +136,10 @@ pub struct BlockPlan {
     block_offsets: Vec<usize>,
     /// Pre-inverted diagonal, `1 / a_rr` per row.
     inv_diag: Vec<f64>,
+    /// The diagonal `a_rr` per row, for the division-free fused residual
+    /// estimate of the packed tiers. Empty in a stencil plan, whose
+    /// diagonal is the descriptor's centre.
+    diag: Vec<f64>,
     /// Packed local operator (diagonal excluded), block-rebased `u32`
     /// columns, rows concatenated in global row order. Empty in a stencil
     /// plan, as are the packed halo and the ELL layouts.
@@ -169,6 +173,7 @@ pub struct BlockPlan {
 /// block's offsets, which its compile fills in place.
 struct BlockSlices<'p> {
     inv_diag: &'p mut [f64],
+    diag: &'p mut [f64],
     /// The end pointers of the block's rows (entries `start + 1 ..= end`
     /// of the flat row pointer).
     local_ptr: &'p mut [usize],
@@ -272,6 +277,7 @@ impl BlockPlan {
             n,
             block_offsets: blocks.iter().map(|b| b.start).chain([n]).collect(),
             inv_diag: vec![0.0; n],
+            diag: Vec::new(),
             local_row_ptr: Vec::new(),
             local_cols: Vec::new(),
             local_vals: Vec::new(),
@@ -319,6 +325,7 @@ impl BlockPlan {
         let counts = ctx.map_indexed(blocks.len(), |b| Self::count_block(a, &blocks[b]));
         let total_local = counts.iter().map(|c| c.0).sum();
         let total_halo = counts.iter().map(|c| c.1).sum();
+        self.diag = vec![0.0; n];
         self.local_row_ptr = vec![0usize; n + 1];
         self.local_cols = vec![0u32; total_local];
         self.local_vals = vec![0.0f64; total_local];
@@ -329,6 +336,7 @@ impl BlockPlan {
         // Running sums of the counts place each block's disjoint slices.
         let mut slices = Vec::with_capacity(blocks.len());
         let mut inv_diag = &mut self.inv_diag[..];
+        let mut diag = &mut self.diag[..];
         let mut local_ptr = &mut self.local_row_ptr[1..];
         let mut local_cols = &mut self.local_cols[..];
         let mut local_vals = &mut self.local_vals[..];
@@ -340,6 +348,7 @@ impl BlockPlan {
             let nb = blk.len();
             slices.push(BlockSlices {
                 inv_diag: carve(&mut inv_diag, nb),
+                diag: carve(&mut diag, nb),
                 local_ptr: carve(&mut local_ptr, nb),
                 local_cols: carve(&mut local_cols, nl),
                 local_vals: carve(&mut local_vals, nl),
@@ -397,6 +406,7 @@ impl BlockPlan {
                 if c == r {
                     if v != 0.0 {
                         out.inv_diag[li] = 1.0 / v;
+                        out.diag[li] = v;
                         found_diag = true;
                     }
                 } else if blk.contains(c) {
@@ -522,6 +532,14 @@ impl BlockPlan {
     #[inline]
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
+    }
+
+    /// The diagonal `a_rr`, indexed by global row; empty in a stencil
+    /// plan, whose diagonal is its descriptor's
+    /// [`center`](StencilDescriptor::center).
+    #[inline]
+    pub fn diag(&self) -> &[f64] {
+        &self.diag
     }
 
     /// Packed local entries of global row `r` (diagonal excluded):

@@ -1,11 +1,14 @@
-//! Explicit four-lane `f64` vectors for the sweep and SpMV kernels.
+//! Explicit four-lane `f64` vectors for the sweep and SpMV kernels, and
+//! the instruction-set dispatch the kernels built on them run through.
 //!
 //! Stable-Rust data parallelism: [`f64x4`] is a `#[repr(transparent)]`
 //! newtype over `[f64; 4]` whose fixed-length lane expressions LLVM's
-//! autovectorizer reliably lowers to packed SSE2 instructions (and to
-//! AVX under `-C target-cpu=native`) — no nightly `portable_simd`
+//! autovectorizer reliably lowers to packed SSE2 instructions, and to
+//! 256-bit AVX2 ones inside an [`Isa::run`] on a host that has AVX2 (or
+//! everywhere under `-C target-cpu=native`) — no nightly `portable_simd`
 //! required. The CI `bench-smoke` matrix runs the kernels built on this
-//! module under both flag sets so a lowering regression fails loudly.
+//! module under both flag sets, and runs the dispatch proptest in both,
+//! so a lowering regression fails loudly.
 //!
 //! # The accumulation-order contract
 //!
@@ -19,6 +22,17 @@
 //! hardware it lowers to a libm soft-float call, which is also far
 //! slower. `mul_add` is still provided for estimator-style callers that
 //! tolerate contraction and compile with FMA enabled.
+//!
+//! The contract covers the AVX2 entry too. Wider registers change how
+//! many rows run at once, never the op sequence of one row, so both
+//! entries produce the same bits (the dispatch proptest in
+//! `tests/block_plan_equivalence.rs` runs every sweep tier through
+//! both). [`Isa::run`] enables `avx2` and leaves `fma` off. Rust never
+//! fuses a product and a sum on its own, whatever the target features,
+//! so the two-rounding `acc -= v * x` would survive `fma` too; but the
+//! entry exists to widen the registers, and with `fma` on, an explicit
+//! [`f64x4::mul_add`] would compile to one instruction inside the entry
+//! and to a libm call outside it, two code paths for one kernel.
 
 use std::ops::{Add, Mul, Sub};
 
@@ -124,6 +138,66 @@ impl Mul for f64x4 {
     }
 }
 
+/// The instruction set a kernel's hot loops run under: AVX2 on an
+/// x86-64 host that has it, else the target's baseline (SSE2 on x86-64).
+/// A kernel picks it once, at construction, with [`Isa::detect`]; every
+/// block update then enters its loops through [`Isa::run`].
+///
+/// The AVX2 value can only come from [`Isa::detect`], after the CPU has
+/// reported the feature, which is what makes [`Isa::run`] safe to call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Isa {
+    avx2: bool,
+}
+
+impl Isa {
+    /// The target's baseline instruction set: no runtime-detected feature.
+    pub const BASELINE: Isa = Isa { avx2: false };
+
+    /// The widest set this module dispatches to that the running CPU
+    /// supports.
+    pub fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            Isa { avx2: std::arch::is_x86_feature_detected!("avx2") }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            Isa::BASELINE
+        }
+    }
+
+    /// Whether [`run`](Self::run) enters the AVX2 entry.
+    pub fn is_avx2(self) -> bool {
+        self.avx2
+    }
+
+    /// Runs `f` compiled for this instruction set. The AVX2 entry is one
+    /// `#[target_feature(enable = "avx2")]` function, instantiated per
+    /// closure type; code reaches its registers only if it is inlined into
+    /// it, so `f` and every function down to the hot loops must be
+    /// `#[inline(always)]` (a plain `#[inline]` function that LLVM keeps
+    /// out of line is compiled for the baseline, and nothing moves).
+    #[inline(always)]
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is only ever true in a value `detect` built
+            // after the CPU reported AVX2 support.
+            return unsafe { run_avx2(f) };
+        }
+        f()
+    }
+}
+
+/// The AVX2 entry of [`Isa::run`]. `fma` stays off, so every lane keeps
+/// the scalar two-rounding sequence (see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +229,17 @@ mod tests {
         let idx: [u32; 4] = [4, 0, 2, 2];
         let g = f64x4::gather_u32(&src, &idx);
         assert_eq!(g.0, [50.0, 10.0, 30.0, 30.0]);
+    }
+
+    #[test]
+    fn isa_runs_the_closure_on_either_entry() {
+        let detected = Isa::detect();
+        assert!(!Isa::BASELINE.is_avx2());
+        let v = f64x4([1.5, -2.0, 0.25, 3.0]);
+        let want = (v * v - v).0;
+        for isa in [Isa::BASELINE, detected] {
+            assert_eq!(isa.run(|| (v * v - v).0), want);
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Equivalence and workspace-reuse properties of the precompiled block
 //! plans: the plan path of `AsyncJacobiKernel` must be **bit-identical**
 //! to the span-sliced reference path for arbitrary systems, partitions,
-//! dampings, and sweep counts; the per-worker `BlockScratch` buffers
+//! dampings, and sweep counts, under the AVX2 entry and the baseline
+//! entry alike; the per-worker `BlockScratch` buffers
 //! must stop allocating once their capacities stabilise and must never
 //! be shared between two concurrent workers.
 
-use block_async_relax::core::async_block::{AsyncJacobiKernel, LocalSweep};
+use block_async_relax::core::async_block::{stencil_mul, AsyncJacobiKernel, LocalSweep};
 use block_async_relax::gpu::kernel::AllowAll;
 use block_async_relax::gpu::schedule::RoundRobin;
 use block_async_relax::gpu::{
@@ -15,6 +16,7 @@ use block_async_relax::gpu::{
 use block_async_relax::sparse::gen::{
     fv_stencil, laplacian_2d_5pt_stencil, laplacian_3d_7pt_stencil, random_diag_dominant,
 };
+use block_async_relax::sparse::simd::Isa;
 use block_async_relax::sparse::{RowPartition, SweepTier};
 use proptest::prelude::*;
 
@@ -232,6 +234,95 @@ proptest! {
 /// The acceptance criterion on allocations: after the first full pass
 /// over the blocks, the scratch buffers' pointers and capacities never
 /// change again — `update_block_with` is allocation-free in steady state.
+/// One block update of every block of `kernel` under `isa`, through the
+/// estimating entry when `estimate` is set: the rows, then the estimates.
+fn run_blocks(kernel: &mut AsyncJacobiKernel<'_>, isa: Isa, x: &[f64], estimate: bool) -> Vec<f64> {
+    kernel.force_isa(isa);
+    let mut scratch = BlockScratch::new();
+    let mut rows = Vec::new();
+    let mut estimates = Vec::new();
+    for b in 0..kernel.n_blocks() {
+        let (s, e) = kernel.block_range(b);
+        let mut out = vec![0.0; e - s];
+        if estimate {
+            let est = kernel.update_block_estimating(b, &XView::Plain(x), &mut out, &mut scratch);
+            estimates.push(est.expect("the async-(k) kernel estimates"));
+        } else {
+            kernel.update_block_with(b, &XView::Plain(x), &mut out, &mut scratch);
+        }
+        rows.extend(out);
+    }
+    rows.extend(estimates);
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dispatch contract: every tier — CSR, ELL, ELL-SIMD, stencil,
+    /// damped and undamped, and Gauss-Seidel — gives the same bits (rows
+    /// and fused estimates) through the AVX2 entry the kernel detects as
+    /// through the baseline entry, non-finite iterates included; so does
+    /// the stencil exact check's product. On a host without AVX2 both
+    /// entries are the baseline and the property holds trivially; CI runs
+    /// it on AVX2 runners in both `bench-smoke` legs.
+    #[test]
+    fn avx2_and_baseline_entries_give_the_same_bits(
+        tier_idx in 0usize..5,
+        block in 2usize..40,
+        k in 1usize..5,
+        damp_percent in 50u64..150,
+        seed in 0u64..200,
+        poison_bit in 0usize..2,
+        estimate_bit in 0usize..2,
+    ) {
+        let (a, d) = match seed % 3 {
+            0 => laplacian_2d_5pt_stencil(9),
+            1 => laplacian_3d_7pt_stencil(5),
+            _ => fv_stencil(9, 0.45).expect("constant-coefficient fv"),
+        };
+        let n = a.n_rows();
+        let rhs = a.mul_vec(&pseudo_iterate(n, seed ^ 0x3c)).expect("square");
+        let p = RowPartition::uniform(n, block).expect("partition");
+        let damping = if damp_percent % 3 == 0 { 1.0 } else { damp_percent as f64 / 100.0 };
+        let (tier, sweep) = match tier_idx {
+            0 => (Some(SweepTier::Csr), LocalSweep::Jacobi),
+            1 => (Some(SweepTier::Ell), LocalSweep::Jacobi),
+            2 => (Some(SweepTier::EllSimd), LocalSweep::Jacobi),
+            3 => (Some(SweepTier::Stencil), LocalSweep::Jacobi),
+            _ => (None, LocalSweep::GaussSeidel),
+        };
+        let descriptor = (tier == Some(SweepTier::Stencil)).then_some(&d);
+        let mut kernel = AsyncJacobiKernel::with_sweep_and_stencil(
+            &a, &rhs, &p, k, damping, sweep, descriptor,
+        )
+        .expect("verified stencil");
+        kernel.force_tier(tier);
+        let mut x = pseudo_iterate(n, seed);
+        if poison_bit == 1 {
+            poison(&mut x, seed);
+        }
+        let estimate = estimate_bit == 1;
+        let wide = run_blocks(&mut kernel, Isa::detect(), &x, estimate);
+        let base = run_blocks(&mut kernel, Isa::BASELINE, &x, estimate);
+        for (i, (w, b)) in wide.iter().zip(&base).enumerate() {
+            prop_assert!(
+                bits_eq(*w, *b),
+                "value {} ({:?}, {:?}, k={}, tau={}, estimate={}): {} vs {}",
+                i, tier, sweep, k, damping, estimate, w, b
+            );
+        }
+        if descriptor.is_some() {
+            let (mut wide, mut base) = (vec![0.0; n], vec![0.0; n]);
+            stencil_mul(Isa::detect(), kernel.plan(), &x, &mut wide);
+            stencil_mul(Isa::BASELINE, kernel.plan(), &x, &mut base);
+            for (r, (w, b)) in wide.iter().zip(&base).enumerate() {
+                prop_assert!(bits_eq(*w, *b), "product row {}: {} vs {}", r, w, b);
+            }
+        }
+    }
+}
+
 #[test]
 fn scratch_capacity_stabilises_after_first_pass() {
     let n = 100;

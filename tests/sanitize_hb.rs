@@ -6,7 +6,8 @@
 //! same instrumentation works wired into the production atomics, with
 //! OS threads and real memory. The shapes are the same three protocol
 //! mutations (Relaxed-ed residual publish, Relaxed-ed stop flag,
-//! skipped halo copy) — detection is deterministic because each reader
+//! skipped halo copy), plus a Relaxed-ed block hand-off between two
+//! `store_range` commits — detection is deterministic because each reader
 //! *spins until it observes* the flag or epoch, and the facade fires
 //! release-side hooks before the real operation and acquire-side hooks
 //! after it: a load that observed a release implies the release hook
@@ -51,6 +52,32 @@ fn residual_publish_shape(publish_ord: Ordering) -> Vec<hb::Race> {
         hb::on_data_read(hb::id_of(&*val), hb::Access::ReadPublished);
         // sync: Relaxed value read behind the epoch edge.
         let _ = val.load(Ordering::Relaxed);
+        w.join().unwrap();
+    });
+    races
+}
+
+/// Two workers committing one block's components in turn through
+/// `AtomicF64Vec::store_range`, the executor's commit path, with the
+/// block handed over through a flag as the in-flight flag hands it over;
+/// the hand-off ordering is the mutation point.
+fn block_commit_shape(handoff: Ordering) -> Vec<hb::Race> {
+    let (_, races) = hb::session(|| {
+        let x = Arc::new(AtomicF64Vec::from_slice(&[0.0; 8]));
+        let flag = Arc::new(SyncBool::new(false));
+        let (x2, f2) = (Arc::clone(&x), Arc::clone(&flag));
+        let w = thread::spawn(move || {
+            x2.store_range(2, &[1.0, 2.0, 3.0]);
+            // sync: test fixture — the hand-off ordering under audit.
+            f2.store(true, handoff);
+        });
+        // sync: Acquire pairs with the hand-off when it is Release;
+        // spinning until the flag is visible makes detection of the
+        // mutated variant deterministic.
+        while !flag.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        x.store_range(2, &[4.0, 5.0, 6.0]);
         w.join().unwrap();
     });
     races
@@ -143,6 +170,20 @@ fn relaxed_stop_flag_mutation_is_caught() {
     let races = stop_watermark_shape(Ordering::Relaxed, Ordering::Relaxed);
     assert!(!races.is_empty(), "mutated stop flag not caught");
     assert!(races.iter().all(|r| r.kind == hb::RaceKind::UnsyncedPublishedRead));
+}
+
+#[test]
+fn released_block_handoff_is_race_clean() {
+    // sync: the audited correct hand-off — Release store, Acquire spin.
+    let races = block_commit_shape(Ordering::Release);
+    assert!(races.is_empty(), "Release hand-off flagged: {races:?}");
+}
+
+#[test]
+fn relaxed_block_handoff_mutation_is_caught() {
+    // sync: deliberate mutation — a Relaxed hand-off orders nothing.
+    let races = block_commit_shape(Ordering::Relaxed);
+    assert!(!races.is_empty(), "two unordered range commits went unreported");
 }
 
 #[test]
