@@ -140,8 +140,8 @@ impl Mul for f64x4 {
 
 /// The instruction set a kernel's hot loops run under: AVX2 on an
 /// x86-64 host that has it, else the target's baseline (SSE2 on x86-64).
-/// A kernel picks it once, at construction, with [`Isa::detect`]; every
-/// block update then enters its loops through [`Isa::run`].
+/// A kernel picks it once, at construction; every block update then
+/// enters its loops through [`Isa::run`].
 ///
 /// The AVX2 value can only come from [`Isa::detect`], after the CPU has
 /// reported the feature, which is what makes [`Isa::run`] safe to call.
@@ -190,8 +190,8 @@ impl Isa {
     }
 }
 
-/// The AVX2 entry of [`Isa::run`]. `fma` stays off, so every lane keeps
-/// the scalar two-rounding sequence (see the module docs).
+/// The AVX2 entry of [`Isa::run`]; `fma` stays off (see the module
+/// docs).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_avx2<R>(f: impl FnOnce() -> R) -> R {
