@@ -122,7 +122,8 @@ fn matrix_residual(buf: &mut Vec<f64>, a: &CsrMatrix, b: &[f64], b_norm: f64, x:
 /// is bit-identical to [`relative_residual_with`] of that matrix. Each
 /// row accumulates its taps and centre from `0.0` in ascending column
 /// order, as the stored-matrix product does, and the norms are the same
-/// sequential loops.
+/// sequential sums. The product is formed one block at a time, so `buf`
+/// is scratch for one block's rows (it does not hold `b − A x` on exit).
 ///
 /// # Panics
 ///
@@ -133,10 +134,10 @@ pub fn stencil_relative_residual_with(
     b: &[f64],
     x: &[f64],
 ) -> f64 {
-    // the product writes every row of `buf`: sized, never cleared
-    buf.resize(plan.n(), 0.0);
-    crate::async_block::stencil_mul(Isa::detect(), plan, x, buf);
-    residual_norm(buf, b, blas1::norm2(b))
+    relative(
+        crate::async_block::stencil_residual_norm(Isa::detect(), plan, b, x, buf),
+        blas1::norm2(b),
+    )
 }
 
 /// Turns `buf = A x` into `b - A x` and returns its norm relative to
@@ -191,7 +192,7 @@ impl<'a> ExactCheck<'a> {
     /// stencil plan is set, else through the stored matrix; bit-identical
     /// either way. `buf` is scratch: the stored-matrix check writes all of
     /// `b − A x` there, the stencil check one block's product at a time
-    /// (see [`stencil_residual_norm`](crate::async_block::stencil_residual_norm)).
+    /// (see [`stencil_relative_residual_with`]).
     pub(crate) fn residual(&self, buf: &mut Vec<f64>, x: &[f64]) -> f64 {
         match self.stencil {
             Some((plan, isa)) => relative(
